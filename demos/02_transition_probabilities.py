@@ -12,7 +12,8 @@ The question each definition answers: how likely was *this next canvas*?
   discarded: sampling token 1 there instead would have produced the same
   next canvas.
 * The exact form multiplies kept confidences by, per remasked position, the
-  total mass of tokens strictly below the smallest kept confidence: here
+  total mass of tokens whose sample would rank below every kept one (below
+  the smallest kept confidence, or equal to it at a later position): here
   both tokens of row one lie below 0.7, so 0.7 * (0.5 + 0.5) = 0.7.
 * The kept-only form keeps just 0.7, a cheaper upper bound.
 
@@ -22,8 +23,9 @@ Brute-force enumeration over all 4 joint samplings confirms the exact form.
 import numpy as np
 
 from maskgrpo import ProbMatrix
-from maskgrpo.decoder import StepOutcome
 from maskgrpo.transition import (
+    StepOutcome,
+    cam_select,
     enumerate_next_states,
     logprob_ar,
     logprob_exact,
@@ -58,7 +60,7 @@ print(f"enumerated {check.enumerated:.10f}  closed form {check.modeled:.10f}  di
 print()
 
 print("== Ordering: AR-style <= exact <= kept-only, on random instances ==")
-from maskgrpo.decoder import cam_select, sample_step
+from maskgrpo.decoder import sample_step
 
 rng = np.random.default_rng(0)
 for trial in range(5):

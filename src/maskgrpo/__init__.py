@@ -9,7 +9,7 @@ from .canvas import (
     schedule_cosine,
     schedule_uniform,
 )
-from .decoder import StepOutcome, Trajectory, cam_select, rollout, sample_step
+from .decoder import Trajectory, rollout, sample_step
 from .discrete_diffusion import (
     MatrixKind,
     TransitionMatrix,
@@ -45,7 +45,9 @@ from .policy import (
 )
 from .rewards import reward_count, reward_fn_for, reward_pattern
 from .transition import (
+    StepOutcome,
     TransitionKind,
+    cam_select,
     enumerate_next_states,
     logprob_ar,
     logprob_exact,

@@ -21,6 +21,7 @@ __all__ = [
     "Prompt",
     "schedule_cosine",
     "schedule_uniform",
+    "SCHEDULES",
     "apply_step",
 ]
 
@@ -132,6 +133,9 @@ def schedule_uniform(total_steps: int, length: int) -> UnmaskSchedule:
     base, rem = divmod(length, total_steps)
     counts = (base,) * (total_steps - rem) + (base + 1,) * rem
     return UnmaskSchedule(counts=counts)
+
+
+SCHEDULES = {"cosine": schedule_cosine, "uniform": schedule_uniform}
 
 
 def _check_schedule_args(total_steps: int, length: int) -> None:

@@ -2,26 +2,24 @@
 
 Each iteration samples a token for every masked position, scores each sample
 by its own probability (its confidence), keeps the scheduled number of most
-confident samples, and remasks the rest.  Confidence ties are broken toward
-the lowest canvas index so the selection is a deterministic function of the
-confidences; no exploration noise is added to the scores.
+confident samples with ``transition.cam_select``, and remasks the rest; no
+exploration noise is added to the scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import transition
 from .canvas import CanvasState, Prompt, UnmaskSchedule, apply_step
 from .policy import PolicyParams, ProbMatrix, policy_forward
+from .transition import StepOutcome, cam_select
 
 __all__ = [
-    "StepOutcome",
     "Trajectory",
     "sample_step",
-    "cam_select",
     "rollout",
     "rng_for_stream",
     "dump_trajectory",
@@ -31,32 +29,6 @@ __all__ = [
 def rng_for_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based stream split: one independent generator per (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(stream)) & ((1 << 128) - 1)))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Samples, confidences, and the keep/remask split for one iteration."""
-
-    sampled: np.ndarray
-    confidences: np.ndarray
-    chosen: np.ndarray
-    positions: np.ndarray
-    prob_matrix: ProbMatrix | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        m = self.positions.size
-        if not (self.sampled.shape == self.confidences.shape == self.chosen.shape == (m,)):
-            raise ValueError("per-position fields must align with masked positions")
-
-    @property
-    def num_chosen(self) -> int:
-        return int(self.chosen.sum())
-
-    def chosen_positions(self) -> np.ndarray:
-        return self.positions[self.chosen]
-
-    def chosen_values(self) -> np.ndarray:
-        return self.sampled[self.chosen]
 
 
 @dataclass
@@ -99,23 +71,6 @@ def sample_step(probs: ProbMatrix, rng: np.random.Generator):
     return sampled.astype(np.int64), confidences
 
 
-def cam_select(confidences, num_to_keep: int) -> np.ndarray:
-    """Boolean keep-mask for the ``num_to_keep`` most confident rows.
-
-    Ties are broken toward the lowest index, making the selection a total
-    order even on degenerate (equal-confidence) inputs.
-    """
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if num_to_keep > confidences.size:
-        raise ValueError(
-            f"cannot keep {num_to_keep} of {confidences.size} candidates"
-        )
-    order = np.argsort(-confidences, kind="stable")
-    chosen = np.zeros(confidences.size, dtype=bool)
-    chosen[order[:num_to_keep]] = True
-    return chosen
-
-
 def rollout(
     params: PolicyParams,
     prompt: Prompt,
@@ -123,7 +78,6 @@ def rollout(
     kind: "transition.TransitionKind",
     temperature: float = 1.0,
     seed: int = 0,
-    keep_probs: bool = True,
 ) -> Trajectory:
     """Decode a full canvas and record everything needed to re-score it later."""
     arch = params.arch
@@ -143,7 +97,6 @@ def rollout(
             confidences=confidences,
             chosen=chosen,
             positions=probs.positions,
-            prob_matrix=probs if keep_probs else None,
         )
         old_logprobs[t] = transition.step_logprob(kind, probs, outcome)
         state = apply_step(state, outcome.chosen_positions(), outcome.chosen_values())

@@ -20,14 +20,13 @@ from __future__ import annotations
 import enum
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import filtering, transition
-from .canvas import Prompt, UnmaskSchedule, schedule_cosine, schedule_uniform
+from .canvas import SCHEDULES, Prompt, UnmaskSchedule
 from .decoder import Trajectory, rollout
 from .policy import (
     PolicyArch,
@@ -114,7 +113,6 @@ class GrpoConfig:
     adam_beta1: float = 0.95
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    gamma: float = 1.0  # stored for the MDP bookkeeping; unused by the update
     kind: TransitionKind = TransitionKind.EXACT
     reduction: Reduction = field(default_factory=Reduction.none)
     temperature: float = 1.0
@@ -156,11 +154,10 @@ def group_advantages(rewards) -> tuple[np.ndarray, bool]:
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.size < 2:
         raise ValueError("need at least two rewards to normalise")
-    mean = rewards.mean()
-    std = np.sqrt(((rewards - mean) ** 2).mean())
+    std = rewards.std()
     if std < 1e-12:
         return np.zeros_like(rewards), True
-    return (rewards - mean) / std, False
+    return (rewards - rewards.mean()) / std, False
 
 
 def kl_step(rows_new: np.ndarray, rows_ref: np.ndarray) -> float:
@@ -316,12 +313,10 @@ class TrainSetup:
     schedule_kind: str = "cosine"
     total_steps: int = 8
     filter_settings: filtering.StdHistory | None = None
-    threads: int = 1
     eval_rollouts: int = 0
 
     def schedule_for(self, steps: int) -> UnmaskSchedule:
-        builder = {"cosine": schedule_cosine, "uniform": schedule_uniform}[self.schedule_kind]
-        return builder(steps, self.arch.length)
+        return SCHEDULES[self.schedule_kind](steps, self.arch.length)
 
 
 @dataclass
@@ -329,31 +324,6 @@ class TrainResult:
     params: PolicyParams
     metrics: list[dict]
     eval_rewards: np.ndarray
-
-
-def _roll_group(
-    params: PolicyParams,
-    prompt: Prompt,
-    schedule: UnmaskSchedule,
-    config: GrpoConfig,
-    seeds: list[int],
-    threads: int,
-) -> list[Trajectory]:
-    def one(seed: int) -> Trajectory:
-        return rollout(
-            params,
-            prompt,
-            schedule,
-            config.kind,
-            temperature=config.temperature,
-            seed=seed,
-            keep_probs=False,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
 
 
 def evaluate(
@@ -375,7 +345,6 @@ def evaluate(
             config.kind,
             temperature=config.temperature,
             seed=seed_base ^ (_TAG_EVAL | i),
-            keep_probs=False,
         )
         out[i] = reward_fn(traj.final_state, prompt)
     return out
@@ -406,7 +375,17 @@ def train(
     params = init.copy() if init is not None else init_params(setup.arch, config.seed)
     ref_params = params.copy() if config.kl_beta > 0.0 else None
     opt = AdamState.for_params(params)
-    history = setup.filter_settings or filtering.StdHistory()
+    # ``is None``, not ``or``: an empty history is falsy through its length.
+    history = setup.filter_settings if setup.filter_settings is not None else filtering.StdHistory()
+    # A field wider than its bits of ``_rollout_stream`` would alias another
+    # (iteration, attempt, member) and replay its rollouts.
+    for name, value, limit in (
+        ("filter max_resamples", history.max_resamples, 255),
+        ("group_size", config.group_size, 65535),
+        ("iterations", config.iterations, 2**32),
+    ):
+        if value > limit:
+            raise ValueError(f"{name}={value} exceeds {limit}, the most the rollout stream key holds")
     metrics: list[dict] = []
 
     for it in range(config.iterations):
@@ -418,15 +397,21 @@ def train(
         filtered = 0
         resamples = 0
         while True:
-            seeds = [
-                config.seed ^ _rollout_stream(it, attempt, j)
+            trajs = [
+                rollout(
+                    params,
+                    prompt,
+                    train_schedule,
+                    config.kind,
+                    temperature=config.temperature,
+                    seed=config.seed ^ _rollout_stream(it, attempt, j),
+                )
                 for j in range(config.group_size)
             ]
-            trajs = _roll_group(params, prompt, train_schedule, config, seeds, setup.threads)
             rewards = np.array([setup.reward_fn(tr.final_state, prompt) for tr in trajs])
             for tr, r in zip(trajs, rewards):
                 tr.reward = float(r)
-            std = float(np.sqrt(((rewards - rewards.mean()) ** 2).mean()))
+            std = float(rewards.std())
             cutoff = filtering.threshold(history)
             below = cutoff is not None and std < cutoff
             decision = filtering.admit(history, std, attempt)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import discrete_diffusion as dd
 from . import filtering, grpo, transition
-from .canvas import CanvasState, Prompt, TaskKind, apply_step, schedule_cosine, schedule_uniform
-from .decoder import StepOutcome, cam_select, dump_trajectory, rollout, sample_step
+from .canvas import SCHEDULES, CanvasState, Prompt, TaskKind, apply_step, schedule_cosine
+from .decoder import dump_trajectory, rollout, sample_step
 from .policy import (
     CheckpointError,
     PolicyArch,
@@ -35,7 +35,7 @@ from .policy import (
     save_checkpoint,
 )
 from .rewards import reward_fn_for
-from .transition import TransitionKind
+from .transition import StepOutcome, TransitionKind, cam_select
 
 __all__ = [
     "ConfigError",
@@ -57,13 +57,6 @@ class ConfigError(Exception):
     pass
 
 
-_TRANSITION_NAMES = {
-    "ar": TransitionKind.AR_STYLE,
-    "exact": TransitionKind.EXACT,
-    "unmasked": TransitionKind.UNMASKED_ONLY,
-}
-
-
 @dataclass
 class ExperimentConfig:
     canvas_n: int = 16
@@ -83,7 +76,6 @@ class ExperimentConfig:
     adam_beta1: float = 0.95
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    gamma: float = 1.0
     reduction: str = "none"
     subset_start: int = 0
     subset_stop: int = 0
@@ -100,7 +92,6 @@ class ExperimentConfig:
     out_dir: str = "runs"
     checkpoint_every: int = 0
     eval_rollouts: int = 16
-    threads: int = 1
 
     def arch(self) -> PolicyArch:
         return PolicyArch(
@@ -127,8 +118,7 @@ class ExperimentConfig:
             adam_beta1=self.adam_beta1,
             adam_beta2=self.adam_beta2,
             adam_eps=self.adam_eps,
-            gamma=self.gamma,
-            kind=_TRANSITION_NAMES[self.transition],
+            kind=TransitionKind(self.transition),
             reduction=self.reduction_obj(),
             temperature=self.temperature,
             iterations=self.iterations,
@@ -158,26 +148,24 @@ class ExperimentConfig:
 
     def train_setup(self) -> grpo.TrainSetup:
         prompt = self.prompt()
-        kind = TaskKind.PATTERN_MATCH if self.reward == "pattern" else TaskKind.TOKEN_COUNT
         return grpo.TrainSetup(
             config=self.grpo_config(),
             arch=self.arch(),
-            reward_fn=reward_fn_for(kind),
+            reward_fn=reward_fn_for(TaskKind(self.reward)),
             prompt_sampler=lambda rng: prompt,
             schedule_kind=self.schedule,
             total_steps=self.steps,
             filter_settings=self.filter_history(),
-            threads=self.threads,
             eval_rollouts=self.eval_rollouts,
         )
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _CHOICES = {
-    "schedule": ("cosine", "uniform"),
-    "transition": tuple(_TRANSITION_NAMES),
-    "reduction": ("none", "subset", "unmask"),
-    "reward": ("pattern", "count"),
+    "schedule": tuple(SCHEDULES),
+    "transition": tuple(k.value for k in TransitionKind),
+    "reduction": tuple(k.value for k in grpo.ReductionKind),
+    "reward": tuple(k.value for k in TaskKind),
 }
 
 
@@ -214,7 +202,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             or (0 <= cfg.subset_start < cfg.subset_stop <= cfg.steps),
             "subset range must satisfy 0 <= start < stop <= steps",
         ),
-        (cfg.threads >= 1, "threads must be >= 1"),
         (cfg.eval_rollouts >= 0, "eval_rollouts must be >= 0"),
         (cfg.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
     ]
@@ -346,23 +333,22 @@ def cmd_sample(
     out=None,
 ) -> int:
     out = out or sys.stdout
+    for key, raw in (("schedule", schedule), ("transition", kind)):
+        if raw not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
     params = load_checkpoint(ckpt_path)
     arch = params.arch
     prompt = _parse_prompt_spec(prompt_spec, arch)
-    total_steps = steps or min(8, arch.length)
-    builder = schedule_cosine if schedule == "cosine" else schedule_uniform
-    sched = builder(total_steps, arch.length)
-    tkind = _TRANSITION_NAMES[kind]
+    sched = SCHEDULES[schedule](steps or min(8, arch.length), arch.length)
     freq: Counter = Counter()
     for i in range(count):
         traj = rollout(
             params,
             prompt,
             sched,
-            tkind,
+            TransitionKind(kind),
             temperature=temperature,
             seed=seed ^ ((4 << 56) | i),
-            keep_probs=False,
         )
         if i < 5:
             out.write(f"--- rollout {i} ---\n")
@@ -380,7 +366,6 @@ class VerifyReport(NamedTuple):
     worst_enum_sum_diff: float
     worst_model_sum_diff: float
     ordering_violations: int
-    skipped_ties: int
 
     @property
     def passed(self) -> bool:
@@ -402,14 +387,12 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
 
     Per trial: random prediction rows, a sampled outcome, then (a) the exact
     definition against brute-force enumeration, (b) enumeration and model
-    normalisation, (c) the AR <= exact <= kept-only ordering chain.  Tie
-    instances (exact float equality at the threshold) are skipped, not
-    asserted.
+    normalisation, (c) the AR <= exact <= kept-only ordering chain.
+    Confidence ties are asserted like every other instance.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst_oracle = worst_enum_sum = worst_model_sum = 0.0
     violations = 0
-    skipped = 0
     for _ in range(trials):
         m = int(rng.integers(1, 5))
         k = int(rng.integers(2, 5))
@@ -420,13 +403,10 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         outcome = StepOutcome(
             sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
         )
-        min_cs = confs[chosen].min()
-        if not np.all(chosen) and np.any(probs.rows[~chosen] == min_cs):
-            skipped += 1
-            continue
-        check = transition.oracle_check(probs, outcome)
-        worst_oracle = max(worst_oracle, check.abs_diff)
+        lp_exact = transition.logprob_exact(probs, outcome)
         table = transition.enumerate_next_states(probs, n_keep)
+        enumerated = table.get(transition.signature_of_outcome(outcome), 0.0)
+        worst_oracle = max(worst_oracle, abs(enumerated - float(np.exp(lp_exact))))
         worst_enum_sum = max(worst_enum_sum, abs(sum(table.values()) - 1.0))
         model_sum = 0.0
         for sig in table:
@@ -434,7 +414,6 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
             model_sum += float(np.exp(transition.logprob_exact(probs, rep)))
         worst_model_sum = max(worst_model_sum, abs(model_sum - 1.0))
         lp_ar = transition.logprob_ar(probs, outcome)
-        lp_exact = transition.logprob_exact(probs, outcome)
         lp_kept = transition.logprob_unmasked(probs, outcome)
         # 1e-12 slack absorbs the different float paths of equal-value cases.
         if not (lp_ar <= lp_exact + 1e-12 and lp_exact <= lp_kept + 1e-12):
@@ -447,13 +426,13 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         worst_enum_sum_diff=worst_enum_sum,
         worst_model_sum_diff=worst_model_sum,
         ordering_violations=violations,
-        skipped_ties=skipped,
     )
 
 
 class GradcheckReport(NamedTuple):
     trials: int
     worst_rel_err: float
+    worst_abs_err: float
     clip_fraction: float
 
     @property
@@ -461,12 +440,16 @@ class GradcheckReport(NamedTuple):
         return self.worst_rel_err < 1e-4
 
 
-def _grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Worst per-coordinate error: relative where meaningful, absolute near zero."""
+def _grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, float]:
+    """Worst per-coordinate error and worst absolute difference.
+
+    The error is relative where meaningful and zero for differences of at
+    most 1e-8; the absolute difference shows the margin that floor hides.
+    """
     diff = np.abs(analytic - numeric)
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     rel = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), 0.0)
-    return float(np.where(diff <= 1e-8, 0.0, rel).max(initial=0.0))
+    return float(np.where(diff <= 1e-8, 0.0, rel).max(initial=0.0)), float(diff.max(initial=0.0))
 
 
 def _fd_gradient(fn, params: PolicyParams, step: float) -> np.ndarray:
@@ -530,7 +513,7 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
     generic points.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = 0.0
+    worst = worst_abs = 0.0
     clipped_terms = 0
     total_terms = 0
     for kind in TransitionKind:
@@ -548,8 +531,8 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
                     kind, policy_forward(params, state, prompt, temperature), outcome
                 )
 
-            numeric = _fd_gradient(value, params, step)
-            worst = max(worst, _grad_mismatch(analytic, numeric))
+            rel, diff = _grad_mismatch(analytic, _fd_gradient(value, params, step))
+            worst, worst_abs = max(worst, rel), max(worst_abs, diff)
 
     for beta in (0.0, 0.5):
         for _ in range(trials):
@@ -568,11 +551,12 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
                 )
                 return value
 
-            numeric = _fd_gradient(objective, params, step=1e-5)
-            worst = max(worst, _grad_mismatch(analytic, numeric))
+            rel, diff = _grad_mismatch(analytic, _fd_gradient(objective, params, step=1e-5))
+            worst, worst_abs = max(worst, rel), max(worst_abs, diff)
     return GradcheckReport(
         trials=trials,
         worst_rel_err=worst,
+        worst_abs_err=worst_abs,
         clip_fraction=clipped_terms / total_terms if total_terms else 0.0,
     )
 
@@ -739,7 +723,7 @@ def cmd_verify(trials: int, seed: int, out=None) -> int:
     out = out or sys.stdout
     report = run_verify(trials, seed)
     out.write(
-        f"verify: trials={report.trials} skipped_ties={report.skipped_ties}\n"
+        f"verify: trials={report.trials}\n"
         f"  worst |closed-form - enumeration|   = {report.worst_oracle_diff:.3e}\n"
         f"  worst |sum(enumeration) - 1|        = {report.worst_enum_sum_diff:.3e}\n"
         f"  worst |sum(closed-form) - 1|        = {report.worst_model_sum_diff:.3e}\n"
@@ -755,6 +739,7 @@ def cmd_gradcheck(trials: int, seed: int, out=None) -> int:
     out.write(
         f"gradcheck: trials={report.trials} per definition plus objective\n"
         f"  worst per-coordinate error = {report.worst_rel_err:.3e}\n"
+        f"  worst absolute difference  = {report.worst_abs_err:.3e}\n"
         f"  clipped surrogate terms    = {report.clip_fraction:.1%}\n"
     )
     out.write("gradcheck: PASS\n" if report.passed else "gradcheck: FAIL\n")
@@ -792,10 +777,10 @@ def main(argv=None) -> int:
     p_sample.add_argument("-p", "--prompt", required=True, help="pattern:T0,T1,... or count:VALUE,TARGET")
     p_sample.add_argument("-n", "--count", type=int, default=1)
     p_sample.add_argument("-T", "--steps", type=int, default=0)
-    p_sample.add_argument("--schedule", choices=("cosine", "uniform"), default="cosine")
+    p_sample.add_argument("--schedule", choices=_CHOICES["schedule"], default="cosine")
     p_sample.add_argument(
         "--kind",
-        choices=tuple(_TRANSITION_NAMES),
+        choices=_CHOICES["transition"],
         default="unmasked",
         help="log-prob definition for the dump; the kept-only default stays defined on tied confidences",
     )

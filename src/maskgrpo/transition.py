@@ -1,45 +1,53 @@
-"""Per-step transition probabilities of the unmasking process.
+"""Keep/remask selection and the per-step transition probabilities it induces.
 
-Given the prediction rows for the masked positions and one step's outcome
-(samples, confidences, keep/remask split), three log-probability definitions
-are provided for the move to the next canvas:
+One step samples a token for every masked position and scores each sample by
+its own probability (its confidence).  ``cam_select`` keeps the scheduled
+number of samples in the order (confidence descending, index ascending) and
+remasks the rest; the lowest-index tie-break makes the selection a
+deterministic function of the confidences.
+
+Given the prediction rows for the masked positions and one step's outcome,
+three log-probability definitions are provided for the move to the next
+canvas:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
 * ``EXACT``        - product of confidences over the kept positions times,
-  for each remasked position, the total probability of sampling any token
-  whose probability lies strictly below the smallest kept confidence.  This
-  is the true probability of the next canvas under the decoder's selection
-  rule, because every remasked sample below that threshold leads to the same
-  next state.
+  for each remasked position, the total probability of the tokens whose
+  sample would rank below every kept one.  With ``c_min`` the smallest kept
+  confidence and ``j*`` the highest kept row holding it, that support is
+  every token of probability below ``c_min``, plus the tokens of probability
+  equal to ``c_min`` when the remasked row lies above ``j*``.  This is the
+  true probability of the next canvas under ``cam_select``, because every
+  remasked sample in the support leads to the same next state.
 * ``UNMASKED_ONLY`` - product of confidences over the kept positions alone,
   a cheaper surrogate that ignores the remasked factor entirely.
 
 ``enumerate_next_states`` is the independent check: it walks every joint
-sampling, pushes each through the same tie-broken selection the decoder
-uses, and accumulates exact next-state probabilities.  On tie-free instances
-the ``EXACT`` definition must agree with it to float precision; instances
-where a remasked token's probability exactly equals the threshold are tie
-cases, which are reported rather than asserted.
+sampling, pushes each through ``cam_select``, and accumulates exact
+next-state probabilities.  The ``EXACT`` definition must agree with it to
+float precision, confidence ties included.
 
-Gradients treat the below-threshold token sets and the identity of the
-minimum-confidence kept position as locally constant; that is the
-almost-everywhere gradient of this piecewise-smooth function, and boundary
-configurations are excluded from gradient checks by resampling.
+Gradients treat the support sets and the identity of the minimum-confidence
+kept position as locally constant; that is the almost-everywhere gradient of
+this piecewise-smooth function, and boundary configurations are excluded
+from gradient checks by resampling.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import decoder
 from .policy import ProbMatrix
 
 __all__ = [
+    "StepOutcome",
+    "cam_select",
     "TransitionKind",
     "DegenerateOutcomeError",
     "logprob_ar",
@@ -56,6 +64,48 @@ __all__ = [
 MAX_ENUMERATION = 10**6
 
 
+@dataclass(frozen=True)
+class StepOutcome:
+    """Samples, confidences, and the keep/remask split for one iteration."""
+
+    sampled: np.ndarray
+    confidences: np.ndarray
+    chosen: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self):
+        m = self.positions.size
+        if not (self.sampled.shape == self.confidences.shape == self.chosen.shape == (m,)):
+            raise ValueError("per-position fields must align with masked positions")
+
+    @property
+    def num_chosen(self) -> int:
+        return int(self.chosen.sum())
+
+    def chosen_positions(self) -> np.ndarray:
+        return self.positions[self.chosen]
+
+    def chosen_values(self) -> np.ndarray:
+        return self.sampled[self.chosen]
+
+
+def cam_select(confidences, num_to_keep: int) -> np.ndarray:
+    """Boolean keep-mask for the ``num_to_keep`` most confident rows.
+
+    Ties are broken toward the lowest index, making the selection a total
+    order even on degenerate (equal-confidence) inputs.
+    """
+    confidences = np.asarray(confidences, dtype=np.float64)
+    if num_to_keep > confidences.size:
+        raise ValueError(
+            f"cannot keep {num_to_keep} of {confidences.size} candidates"
+        )
+    order = np.argsort(-confidences, kind="stable")
+    chosen = np.zeros(confidences.size, dtype=bool)
+    chosen[order[:num_to_keep]] = True
+    return chosen
+
+
 class TransitionKind(enum.Enum):
     AR_STYLE = "ar"
     EXACT = "exact"
@@ -66,19 +116,19 @@ class DegenerateOutcomeError(ValueError):
     """A factor of the transition probability is exactly zero.
 
     Raised when a confidence is 0 or when a remasked position has no token
-    mass strictly below the selection threshold (a measure-zero tie
-    configuration under continuous prediction rows).
+    mass in its ``EXACT`` support, which only hand-built outcomes that
+    ``cam_select`` would not produce can reach.
     """
 
 
-def _check_consistent(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> None:
+def _check_consistent(probs: ProbMatrix, outcome: StepOutcome) -> None:
     if not np.array_equal(probs.positions, outcome.positions):
         raise ValueError("outcome does not belong to this probability matrix")
-    if np.any((outcome.sampled < 0) | (outcome.sampled >= probs.num_categories)):
+    if ((outcome.sampled < 0) | (outcome.sampled >= probs.num_categories)).any():
         raise ValueError("sampled token out of range")
 
 
-def logprob_ar(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> float:
+def logprob_ar(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Sum of log confidences over all masked positions."""
     _check_consistent(probs, outcome)
     rows = probs.rows
@@ -88,7 +138,7 @@ def logprob_ar(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> float:
     return float(probs.log_rows[np.arange(rows.shape[0]), outcome.sampled].sum())
 
 
-def logprob_unmasked(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> float:
+def logprob_unmasked(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Sum of log confidences over the kept positions only."""
     _check_consistent(probs, outcome)
     idx = np.flatnonzero(outcome.chosen)
@@ -98,33 +148,47 @@ def logprob_unmasked(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> float
     return float(probs.log_rows[idx, outcome.sampled[idx]].sum())
 
 
-def logprob_exact(probs: ProbMatrix, outcome: "decoder.StepOutcome") -> float:
-    """Kept confidences times below-threshold mass at each remasked position.
+def _exact_parts(probs: ProbMatrix, outcome: StepOutcome) -> tuple[float, np.ndarray]:
+    """``EXACT`` log-probability plus each remasked row's support mass.
 
-    The threshold is the minimum confidence among kept positions; tokens with
-    probability exactly equal to it are excluded (strict inequality, matching
-    the strict comparison in the keep rule).
+    The second value holds, for every remasked row, the row's probabilities
+    on its support (see the module docstring) and zeros elsewhere.
     """
     _check_consistent(probs, outcome)
     kept = np.flatnonzero(outcome.chosen)
     if kept.size == 0:
         raise ValueError("a step must keep at least one position")
-    cs_kept = probs.rows[kept, outcome.sampled[kept]]
-    if np.any(cs_kept == 0.0):
+    tokens = outcome.sampled[kept]
+    cs_kept = probs.rows[kept, tokens]
+    if (cs_kept == 0.0).any():
         raise DegenerateOutcomeError("confidence of a kept token is exactly zero")
-    total = float(probs.log_rows[kept, outcome.sampled[kept]].sum())
+    total = float(probs.log_rows[kept, tokens].sum())
     min_cs = cs_kept.min()
-    remasked_rows = probs.rows[~outcome.chosen]
-    if remasked_rows.size:
-        mass = np.where(remasked_rows < min_cs, remasked_rows, 0.0).sum(axis=1)
-        if np.any(mass <= 0.0):
-            bad = probs.positions[~outcome.chosen][mass <= 0.0]
+    remasked = ~outcome.chosen
+    rows = probs.rows[remasked]
+    inside = rows < min_cs
+    tied = rows == min_cs
+    if tied.any():
+        # A tied sample at a row above the last kept row holding ``min_cs``
+        # loses the lowest-index tie-break, so it is remasked too.
+        above = np.flatnonzero(remasked) > kept[cs_kept == min_cs][-1]
+        inside |= tied & above[:, None]
+    support = np.where(inside, rows, 0.0)
+    if support.size:
+        mass = support.sum(axis=1)
+        if (mass <= 0.0).any():
+            bad = probs.positions[remasked][mass <= 0.0]
             raise DegenerateOutcomeError(
                 f"remasked positions {bad.tolist()} have no token mass "
-                f"strictly below the selection threshold {min_cs!r}"
+                f"that ranks below the selection threshold {min_cs!r}"
             )
         total += float(np.log(mass).sum())
-    return total
+    return total, support
+
+
+def logprob_exact(probs: ProbMatrix, outcome: StepOutcome) -> float:
+    """Kept confidences times the support mass at each remasked position."""
+    return _exact_parts(probs, outcome)[0]
 
 
 _LOGPROB_FNS = {
@@ -146,24 +210,23 @@ def step_logprob_upstream(
     The returned matrix ``u`` satisfies: d(logprob)/d(logit row i) equals the
     softmax backward of ``u`` row i.  For kept positions this is a one-hot at
     the sampled token; for remasked positions under ``EXACT`` it is the row's
-    probability mass restricted to the below-threshold set, renormalised by
-    that set's total mass (sets held locally constant, see module docstring).
+    probability mass restricted to its support, renormalised by that
+    support's total mass (sets held locally constant, see module docstring).
     """
-    value = step_logprob(kind, probs, outcome)
     m, k = probs.rows.shape
     upstream = np.zeros((m, k))
     kept = np.flatnonzero(outcome.chosen)
     if kind is TransitionKind.AR_STYLE:
+        value = logprob_ar(probs, outcome)
         upstream[np.arange(m), outcome.sampled] = 1.0
     elif kind is TransitionKind.UNMASKED_ONLY:
+        value = logprob_unmasked(probs, outcome)
         upstream[kept, outcome.sampled[kept]] = 1.0
     else:
+        value, support = _exact_parts(probs, outcome)
         upstream[kept, outcome.sampled[kept]] = 1.0
-        min_cs = probs.rows[kept, outcome.sampled[kept]].min()
-        remasked = ~outcome.chosen
-        if remasked.any():
-            below_mass = np.where(probs.rows[remasked] < min_cs, probs.rows[remasked], 0.0)
-            upstream[remasked] = below_mass / below_mass.sum(axis=1, keepdims=True)
+        if support.size:
+            upstream[~outcome.chosen] = support / support.sum(axis=1, keepdims=True)
     return value, upstream
 
 
@@ -174,7 +237,7 @@ class NextState(NamedTuple):
     values: tuple[int, ...]
 
 
-def signature_of_outcome(outcome: "decoder.StepOutcome") -> NextState:
+def signature_of_outcome(outcome: StepOutcome) -> NextState:
     pos = outcome.chosen_positions()
     vals = outcome.chosen_values()
     order = np.argsort(pos)
@@ -203,19 +266,19 @@ def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState
         joint = float(confs.prod())
         if joint == 0.0:
             continue
-        chosen = decoder.cam_select(confs, num_to_keep)
+        chosen = cam_select(confs, num_to_keep)
         pos = probs.positions[chosen]
         key = NextState(tuple(int(p) for p in pos), tuple(int(v) for v in tokens[chosen]))
         out[key] = out.get(key, 0.0) + joint
     return out
 
 
-def representative_outcome(probs: ProbMatrix, signature: NextState) -> "decoder.StepOutcome":
+def representative_outcome(probs: ProbMatrix, signature: NextState) -> StepOutcome:
     """Build one outcome realising ``signature``.
 
-    Remasked positions are assigned their least likely token, which on any
-    signature reachable by the decoder lies strictly below the selection
-    threshold, so the constructed outcome is a valid keep/remask split.
+    Remasked positions are assigned their least likely token.  The
+    ``EXACT`` value of an outcome depends only on its signature, so the
+    constructed outcome scores the signature whatever its remasked samples.
     """
     m = probs.num_rows
     pos_to_row = {int(p): r for r, p in enumerate(probs.positions)}
@@ -226,12 +289,11 @@ def representative_outcome(probs: ProbMatrix, signature: NextState) -> "decoder.
         sampled[row] = v
         chosen[row] = True
     confidences = probs.rows[np.arange(m), sampled]
-    return decoder.StepOutcome(
+    return StepOutcome(
         sampled=sampled,
         confidences=confidences,
         chosen=chosen,
         positions=probs.positions,
-        prob_matrix=probs,
     )
 
 

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from maskgrpo import ProbMatrix, group_advantages
-from maskgrpo.decoder import StepOutcome, cam_select, rng_for_stream, sample_step
+from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.filtering import Decision, StdHistory, admit
 from maskgrpo.harness import ExperimentConfig, run_d3pm_suite, run_gradcheck, run_verify
 from maskgrpo import grpo
 from maskgrpo.transition import (
+    StepOutcome,
+    cam_select,
     enumerate_next_states,
     logprob_ar,
     logprob_exact,
@@ -249,7 +251,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(
         "iterations=5\ncanvas_n=8\ncanvas_k=3\nsteps=4\nhidden=16\nembed=8\n"
-        "group_size=3\nseed=33\nthreads=1\neval_rollouts=0\n"
+        "group_size=3\nseed=33\neval_rollouts=0\n"
     )
     csvs = []
     for name in ("one", "two"):

@@ -140,9 +140,7 @@ class TestRollout:
         counts = {}
         n = 10**5
         for i in range(n):
-            traj = rollout(
-                params, prompt, sched, TransitionKind.UNMASKED_ONLY, seed=i, keep_probs=False
-            )
+            traj = rollout(params, prompt, sched, TransitionKind.UNMASKED_ONLY, seed=i)
             key = tuple(traj.final_state.tokens)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 4
@@ -159,7 +157,7 @@ class TestRollout:
         n = 20000
         freq = {}
         for i in range(n):
-            traj = rollout(params, prompt, sched, TransitionKind.EXACT, seed=i, keep_probs=False)
+            traj = rollout(params, prompt, sched, TransitionKind.EXACT, seed=i)
             sig = signature_of_outcome(traj.outcomes[0])
             freq[sig] = freq.get(sig, 0) + 1
         assert set(freq) <= set(table)

@@ -304,16 +304,3 @@ class TestTrain:
         assert sched.total_tokens == setup.arch.length
         result = train(setup)
         assert len(result.metrics) == 2
-
-    def test_threaded_rollouts_match_serial(self):
-        # Rollout streams are keyed per (seed, iteration, member), so worker
-        # count cannot change the results, only their scheduling.
-        serial = pattern_setup(iterations=3)
-        threaded = pattern_setup(iterations=3)
-        threaded.threads = 4
-        a = train(serial)
-        b = train(threaded)
-        assert np.array_equal(a.params.params, b.params.params)
-        for ra, rb in zip(a.metrics, b.metrics):
-            assert ra["mean_reward"] == rb["mean_reward"]
-            assert ra["loss"] == rb["loss"]

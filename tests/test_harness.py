@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from maskgrpo import PolicyArch, init_params, load_checkpoint, save_checkpoint
+from maskgrpo import PolicyArch, grpo, init_params, load_checkpoint, save_checkpoint
 from maskgrpo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -14,6 +14,7 @@ from maskgrpo.harness import (
     cmd_verify,
     main,
     parse_config,
+    run_gradcheck,
     run_verify,
 )
 
@@ -133,6 +134,12 @@ class TestCmdTrain:
         cmd_train(write_config(tmp_path, text), None)
         assert (target / "metrics.csv").exists()
 
+    def test_resample_budget_wider_than_the_stream_key_is_refused(self):
+        # Attempt 256 would share its rollout stream with the next iteration.
+        setup = ExperimentConfig(filter_max_resamples=256, iterations=1).train_setup()
+        with pytest.raises(ValueError, match="max_resamples=256 exceeds 255"):
+            grpo.train(setup)
+
 
 class TestCmdSample:
     def test_frequency_summary_on_uniform_policy(self, tmp_path):
@@ -157,6 +164,14 @@ class TestCmdSample:
         with pytest.raises(ConfigError):
             cmd_sample(str(ckpt), "pattern:0,1,2", 1, out=io.StringIO())
 
+    @pytest.mark.parametrize("option", [{"schedule": "linear"}, {"kind": "magic"}])
+    def test_unknown_schedule_or_kind(self, tmp_path, option):
+        arch = PolicyArch(length=2, num_categories=2, hidden=8, embed=4)
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(init_params(arch, 0), str(ckpt))
+        with pytest.raises(ConfigError, match="must be one of"):
+            cmd_sample(str(ckpt), "pattern:0,1", 1, out=io.StringIO(), **option)
+
 
 class TestCmdVerify:
     def test_reports_reproducible(self):
@@ -169,6 +184,15 @@ class TestCmdVerify:
     def test_run_verify_passes(self):
         report = run_verify(200, seed=13)
         assert report.passed
+
+
+class TestGradcheck:
+    def test_reports_its_absolute_margin(self):
+        # The relative error zeroes differences of at most 1e-8; the absolute
+        # difference still shows how close the agreement is.
+        report = run_gradcheck(1, 0)
+        assert report.passed
+        assert report.worst_abs_err > 0.0
 
 
 class TestMainEntry:

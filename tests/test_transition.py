@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from maskgrpo import ProbMatrix, TransitionKind
-from maskgrpo.decoder import StepOutcome, cam_select, rng_for_stream, sample_step
+from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.transition import (
     DegenerateOutcomeError,
     NextState,
+    StepOutcome,
+    cam_select,
     enumerate_next_states,
     logprob_ar,
     logprob_exact,
@@ -190,10 +192,9 @@ class TestOracle:
 
     def test_tie_instance_is_flagged_not_asserted(self):
         # The remasked row holds a token with probability exactly equal to
-        # the kept confidence.  The decoder's index tie-break keeps the
-        # earlier-position interpretation, the closed form excludes the tied
-        # token, and the two legitimately disagree; oracle_check must simply
-        # report the difference.
+        # the kept confidence.  It lies above the kept row, so the
+        # lowest-index tie-break remasks that token too, and the closed form
+        # must count it like the enumeration does.
         probs = ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]])
         outcome = StepOutcome(
             sampled=np.array([0, 0]),
@@ -202,9 +203,27 @@ class TestOracle:
             positions=probs.positions,
         )
         check = oracle_check(probs, outcome)
-        assert check.modeled == 0.0  # no mass strictly below the threshold
-        assert check.enumerated > 0.0
-        assert check.abs_diff == check.enumerated
+        assert check.enumerated == pytest.approx(0.5, abs=1e-15)
+        assert check.modeled == pytest.approx(0.5, abs=1e-15)
+
+    def test_saturated_rows_tie_at_one(self):
+        # Float64 rounds the top token of a row with a logit gap of 40 to
+        # exactly 1.0, so every sample of token 0 ties at confidence 1.  The
+        # first row is kept and the next canvas is certain.
+        logits = np.array([[40.0, 0.0, 0.0]] * 3)
+        rows = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = ProbMatrix.from_rows(rows / rows.sum(axis=1, keepdims=True))
+        confs = probs.rows[np.arange(3), [0, 0, 0]]
+        assert np.all(confs == 1.0)
+        outcome = StepOutcome(
+            sampled=np.zeros(3, dtype=np.int64),
+            confidences=confs,
+            chosen=cam_select(confs, 1),
+            positions=probs.positions,
+        )
+        check = oracle_check(probs, outcome)
+        assert check.enumerated == pytest.approx(1.0, abs=1e-15)
+        assert check.modeled == pytest.approx(1.0, abs=1e-15)
 
 
 class TestOrderingChain:
@@ -249,6 +268,26 @@ class TestUpstreamGradients:
         )
         np.testing.assert_allclose(upstream_b[0], [1.0, 0.0])
         np.testing.assert_allclose(upstream_b[1], [0.0, 1.0])
+
+    def test_exact_upstream_on_tied_remasked_row(self):
+        # Kept row 1 holds the threshold 0.5.  Remasked row 0 lies below it,
+        # so its tied token ranks above the kept sample and stays out of the
+        # support; remasked row 2 lies above it, so its tied token is in.
+        probs = ProbMatrix.from_rows([[0.5, 0.3, 0.2], [0.5, 0.25, 0.25], [0.5, 0.3, 0.2]])
+        outcome = StepOutcome(
+            sampled=np.array([1, 0, 1]),
+            confidences=np.array([0.3, 0.5, 0.3]),
+            chosen=np.array([False, True, False]),
+            positions=probs.positions,
+        )
+        value, upstream = step_logprob_upstream(TransitionKind.EXACT, probs, outcome)
+        assert value == pytest.approx(np.log(0.5 * 0.5 * 1.0), abs=1e-12)
+        assert value == logprob_exact(probs, outcome)
+        np.testing.assert_allclose(upstream[0], [0.0, 0.6, 0.4])
+        np.testing.assert_allclose(upstream[1], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(upstream[2], [0.5, 0.3, 0.2])
+        table = enumerate_next_states(probs, 1)
+        assert table[signature_of_outcome(outcome)] == pytest.approx(0.25, abs=1e-15)
 
     def test_signature_roundtrip(self, fixture_f):
         sig = signature_of_outcome(outcome_b(fixture_f))
