@@ -17,6 +17,7 @@ evaluation keeps the full schedule.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import logging
 import time
@@ -32,8 +33,8 @@ from .policy import (
     PolicyArch,
     PolicyParams,
     init_params,
-    policy_forward_cached,
     policy_backward,
+    policy_forward,
 )
 from .rewards import RewardFn
 from .transition import TransitionKind
@@ -214,9 +215,7 @@ def grpo_loss_and_grad(
             norm = 1.0 / (n_groups * n_traj * steps.size)
             for t in steps:
                 outcome = traj.outcomes[t]
-                probs, cache = policy_forward_cached(
-                    params, traj.states[t], traj.prompt, traj.temperature
-                )
+                probs = policy_forward(params, traj.states[t], traj.prompt, traj.temperature)
                 if compute_grad:
                     new_logp, upstream = transition.step_logprob_upstream(
                         traj.kind, probs, outcome
@@ -235,9 +234,9 @@ def grpo_loss_and_grad(
                 kl = 0.0
                 kl_up = None
                 if config.kl_beta > 0.0:
-                    ref_probs = policy_forward_cached(
+                    ref_probs = policy_forward(
                         ref_params, traj.states[t], traj.prompt, traj.temperature
-                    )[0]
+                    )
                     idx = np.flatnonzero(outcome.chosen)
                     kl = kl_step(probs.rows[idx], ref_probs.rows[idx])
                     if compute_grad:
@@ -257,9 +256,7 @@ def grpo_loss_and_grad(
                 back = (-norm * coef) * upstream
                 if kl_up is not None:
                     back += (norm * config.kl_beta) * kl_up
-                policy_backward(
-                    params, traj.states[t], traj.prompt, traj.temperature, back, cache=cache
-                )
+                policy_backward(params, probs, back)
     stats = {
         "mean_ratio": ratio_sum / total_terms if total_terms else 0.0,
         "clip_frac": clipped_count / total_terms if total_terms else 0.0,
@@ -291,9 +288,8 @@ def adam_step(params: PolicyParams, state: AdamState, config: GrpoConfig) -> Non
     params.zero_grads()
 
 
-# Stream tags keep prompt sampling, rollouts, and evaluation on disjoint
-# generator keys for one experiment seed.
-_TAG_PROMPT = 1 << 56
+# Stream tags keep rollouts and evaluation on disjoint generator keys for one
+# experiment seed.
 _TAG_ROLLOUT = 2 << 56
 _TAG_EVAL = 3 << 56
 
@@ -304,16 +300,38 @@ def _rollout_stream(iteration: int, attempt: int, member: int) -> int:
 
 @dataclass
 class TrainSetup:
-    """Everything the trainer needs beyond the optimisation config."""
+    """Everything the trainer needs beyond the optimisation config.
+
+    Construction builds the schedules and refuses what the trainer cannot run.
+    """
 
     config: GrpoConfig
     arch: PolicyArch
     reward_fn: RewardFn
-    prompt_sampler: Callable[[np.random.Generator], Prompt]
+    prompt: Prompt
     schedule_kind: str = "cosine"
     total_steps: int = 8
-    filter_settings: filtering.StdHistory | None = None
+    filter_settings: filtering.StdHistory = field(default_factory=filtering.StdHistory)
     eval_rollouts: int = 0
+    full_schedule: UnmaskSchedule = field(init=False)
+    train_schedule: UnmaskSchedule = field(init=False)
+
+    def __post_init__(self):
+        config = self.config
+        self.full_schedule = self.schedule_for(self.total_steps)
+        self.train_schedule = self.full_schedule
+        if config.reduction.kind is ReductionKind.UNMASK_REDUCE:
+            self.train_schedule = self.schedule_for(config.reduction.train_steps)
+        active_steps(config.reduction, self.train_schedule.total_steps)  # validate range
+        # A field wider than its bits of ``_rollout_stream`` would alias another
+        # (iteration, attempt, member) and replay its rollouts.
+        for name, value, limit in (
+            ("filter max_resamples", self.filter_settings.max_resamples, 255),
+            ("group_size", config.group_size, 65535),
+            ("iterations", config.iterations, 2**32),
+        ):
+            if value > limit:
+                raise ValueError(f"{name}={value} exceeds {limit}, the most the rollout stream key holds")
 
     def schedule_for(self, steps: int) -> UnmaskSchedule:
         return SCHEDULES[self.schedule_kind](steps, self.arch.length)
@@ -357,42 +375,22 @@ def train(
 ) -> TrainResult:
     """Run the full training loop and return final parameters plus metrics.
 
-    One group per iteration: sample a prompt, roll out ``group_size``
-    trajectories (on the reduced schedule when configured), score, filter on
-    reward spread, normalise, then take ``inner_epochs`` surrogate/optimiser
+    One group per iteration: roll out ``group_size`` trajectories of the
+    setup's prompt (on the reduced schedule when configured), score, filter
+    on reward spread, normalise, then take ``inner_epochs`` surrogate/optimiser
     steps.  Exhausting the resample budget logs a warning and falls back to
     the last group.
     """
-    config = setup.config
-    full_schedule = setup.schedule_for(setup.total_steps)
-    if config.reduction.kind is ReductionKind.UNMASK_REDUCE:
-        train_schedule = setup.schedule_for(config.reduction.train_steps)
-    else:
-        train_schedule = full_schedule
-    if config.reduction.kind is ReductionKind.COMPUTE_SUBSET:
-        active_steps(config.reduction, train_schedule.total_steps)  # validate range
-
+    config, prompt = setup.config, setup.prompt
     params = init.copy() if init is not None else init_params(setup.arch, config.seed)
     ref_params = params.copy() if config.kl_beta > 0.0 else None
     opt = AdamState.for_params(params)
-    # ``is None``, not ``or``: an empty history is falsy through its length.
-    history = setup.filter_settings if setup.filter_settings is not None else filtering.StdHistory()
-    # A field wider than its bits of ``_rollout_stream`` would alias another
-    # (iteration, attempt, member) and replay its rollouts.
-    for name, value, limit in (
-        ("filter max_resamples", history.max_resamples, 255),
-        ("group_size", config.group_size, 65535),
-        ("iterations", config.iterations, 2**32),
-    ):
-        if value > limit:
-            raise ValueError(f"{name}={value} exceeds {limit}, the most the rollout stream key holds")
+    # Only the settings are taken, so training leaves ``setup`` as it was.
+    history = dataclasses.replace(setup.filter_settings, values=())
     metrics: list[dict] = []
 
     for it in range(config.iterations):
         t0 = time.perf_counter()
-        prompt = setup.prompt_sampler(
-            np.random.Generator(np.random.Philox(key=config.seed ^ (_TAG_PROMPT | it)))
-        )
         attempt = 0
         filtered = 0
         resamples = 0
@@ -401,7 +399,7 @@ def train(
                 rollout(
                     params,
                     prompt,
-                    train_schedule,
+                    setup.train_schedule,
                     config.kind,
                     temperature=config.temperature,
                     seed=config.seed ^ _rollout_stream(it, attempt, j),
@@ -464,13 +462,10 @@ def train(
 
     eval_rewards = np.zeros(0)
     if setup.eval_rollouts > 0:
-        prompt = setup.prompt_sampler(
-            np.random.Generator(np.random.Philox(key=config.seed ^ _TAG_PROMPT))
-        )
         eval_rewards = evaluate(
             params,
             prompt,
-            full_schedule,
+            setup.full_schedule,
             config,
             setup.reward_fn,
             setup.eval_rollouts,

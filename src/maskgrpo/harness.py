@@ -147,12 +147,11 @@ class ExperimentConfig:
         )
 
     def train_setup(self) -> grpo.TrainSetup:
-        prompt = self.prompt()
         return grpo.TrainSetup(
             config=self.grpo_config(),
             arch=self.arch(),
             reward_fn=reward_fn_for(TaskKind(self.reward)),
-            prompt_sampler=lambda rng: prompt,
+            prompt=self.prompt(),
             schedule_kind=self.schedule,
             total_steps=self.steps,
             filter_settings=self.filter_history(),
@@ -227,10 +226,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    # Surface the range checks of the derived objects too.
-    cfg.grpo_config()
-    cfg.filter_history()
-    cfg.prompt()
+    # Surface the range checks of the derived objects, the trainer's included.
+    cfg.train_setup()
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -465,6 +462,16 @@ def _fd_gradient(fn, params: PolicyParams, step: float) -> np.ndarray:
     return grad
 
 
+def _near_selection_boundary(probs, outcome) -> bool:
+    """True within 1e-5 of a selection boundary: the two smallest kept
+    confidences nearly tie, or a remasked token nearly equals the smallest."""
+    kept = np.flatnonzero(outcome.chosen)
+    confs = np.sort(probs.rows[kept, outcome.sampled[kept]])
+    if confs.size > 1 and confs[1] - confs[0] < 1e-5:
+        return True
+    return bool(np.any(np.abs(probs.rows[~outcome.chosen] - confs[0]) < 1e-5))
+
+
 def _random_logprob_instance(rng: np.random.Generator):
     """Generic (params, state, prompt, outcome) away from selection boundaries."""
     k = int(rng.integers(2, 5))
@@ -488,16 +495,11 @@ def _random_logprob_instance(rng: np.random.Generator):
         outcome = StepOutcome(
             sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
         )
-        kept_confs = np.sort(confs[chosen])
-        min_cs = kept_confs[0]
-        margin = 1e-5
-        if kept_confs.size > 1 and kept_confs[1] - kept_confs[0] < margin:
-            continue  # ambiguous threshold identity
+        if _near_selection_boundary(probs, outcome):
+            continue
         remasked_rows = probs.rows[~chosen]
-        if np.any(np.abs(remasked_rows - min_cs) < margin):
-            continue  # token mass too close to the threshold
-        below_mass = np.where(remasked_rows < min_cs, remasked_rows, 0.0).sum(axis=1)
-        if remasked_rows.size and np.any(below_mass < margin):
+        below_mass = np.where(remasked_rows < confs[chosen].min(), remasked_rows, 0.0).sum(axis=1)
+        if remasked_rows.size and np.any(below_mass < 1e-5):
             continue  # nearly-empty below-threshold mass
         return params, state, prompt, temperature, outcome
 
@@ -519,11 +521,10 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
     for kind in TransitionKind:
         for _ in range(trials):
             params, state, prompt, temperature, outcome = _random_logprob_instance(rng)
-            _, upstream = transition.step_logprob_upstream(
-                kind, policy_forward(params, state, prompt, temperature), outcome
-            )
+            probs = policy_forward(params, state, prompt, temperature)
+            _, upstream = transition.step_logprob_upstream(kind, probs, outcome)
             params.zero_grads()
-            policy_backward(params, state, prompt, temperature, upstream)
+            policy_backward(params, probs, upstream)
             analytic = params.grads.copy()
 
             def value() -> float:
@@ -617,11 +618,7 @@ def _objective_is_generic(group, params, config) -> bool:
     for traj in group.trajectories:
         for t, outcome in enumerate(traj.outcomes):
             probs = policy_forward(params, traj.states[t], traj.prompt, traj.temperature)
-            kept = np.flatnonzero(outcome.chosen)
-            confs = np.sort(probs.rows[kept, outcome.sampled[kept]])
-            if confs.size > 1 and confs[1] - confs[0] < 1e-5:
-                return False
-            if np.any(np.abs(probs.rows[~outcome.chosen] - confs[0]) < 1e-5):
+            if _near_selection_boundary(probs, outcome):
                 return False
             try:
                 new_logp = transition.step_logprob(traj.kind, probs, outcome)

@@ -129,32 +129,35 @@ class ProbMatrix:
     """Per-masked-position token distributions, in canvas order.
 
     ``log_rows`` is canonical; ``rows`` is its clamped exponential, so every
-    entry is strictly positive for policy-produced matrices.  Hand-built
-    matrices (tests, oracles) may carry exact zeros.
+    entry is strictly positive for policy-produced matrices.  Those also keep
+    the activations that produced them (``features``, ``hidden``,
+    ``temperature``) for :func:`policy_backward`.  Matrices built with
+    :meth:`from_rows` (tests, oracles) have none and may carry exact zeros.
     """
 
     rows: np.ndarray
     log_rows: np.ndarray
     positions: np.ndarray
+    features: np.ndarray | None = None
+    hidden: np.ndarray | None = None
+    temperature: float | None = None
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] != self.positions.size:
+    @classmethod
+    def from_rows(cls, rows, positions=None) -> "ProbMatrix":
+        """Wrap explicit probability rows, checked here (exact zeros allowed)."""
+        rows = np.asarray(rows, dtype=np.float64)
+        positions = np.asarray(
+            np.arange(rows.shape[0]) if positions is None else positions, dtype=np.int64
+        )
+        if rows.ndim != 2 or rows.shape[0] != positions.size:
             raise ValueError("one probability row per masked position required")
         if np.any(rows < 0.0) or np.any(rows > 1.0 + 1e-12):
             raise ValueError("probabilities out of [0, 1]")
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("probability rows must sum to 1")
-
-    @classmethod
-    def from_rows(cls, rows, positions=None) -> "ProbMatrix":
-        """Wrap explicit probability rows (rows with exact zeros allowed)."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if positions is None:
-            positions = np.arange(rows.shape[0])
         with np.errstate(divide="ignore"):
             log_rows = np.log(rows)
-        return cls(rows=rows, log_rows=log_rows, positions=np.asarray(positions, dtype=np.int64))
+        return cls(rows=rows, log_rows=log_rows, positions=positions)
 
     @property
     def num_rows(self) -> int:
@@ -163,16 +166,6 @@ class ProbMatrix:
     @property
     def num_categories(self) -> int:
         return self.rows.shape[1]
-
-
-@dataclass
-class ForwardCache:
-    """Intermediate activations kept so backward can avoid a second forward."""
-
-    features: np.ndarray
-    hidden: np.ndarray
-    prob: ProbMatrix
-    temperature: float
 
 
 def _encode_input(arch: PolicyArch, state: CanvasState, prompt: Prompt) -> np.ndarray:
@@ -187,9 +180,13 @@ def _encode_input(arch: PolicyArch, state: CanvasState, prompt: Prompt) -> np.nd
     return x
 
 
-def _forward(
-    params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float
-) -> ForwardCache:
+def policy_forward(
+    params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float = 1.0
+) -> ProbMatrix:
+    """One tempered softmax row per masked position; pure in all inputs.
+
+    Rows are a softmax of logits checked finite here, so need no row checks.
+    """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     masked = state.masked_positions()
@@ -205,60 +202,38 @@ def _forward(
     z -= z.max(axis=1, keepdims=True)
     log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
-    prob = ProbMatrix(rows=rows, log_rows=log_rows, positions=masked)
-    return ForwardCache(features=x, hidden=h, prob=prob, temperature=temperature)
+    return ProbMatrix(rows, log_rows, masked, features=x, hidden=h, temperature=temperature)
 
 
-def policy_forward(
-    params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float = 1.0
-) -> ProbMatrix:
-    """One tempered softmax row per masked position; pure in all inputs."""
-    return _forward(params, state, prompt, temperature).prob
-
-
-def policy_forward_cached(
-    params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float = 1.0
-) -> tuple[ProbMatrix, ForwardCache]:
-    cache = _forward(params, state, prompt, temperature)
-    return cache.prob, cache
-
-
-def policy_backward(
-    params: PolicyParams,
-    state: CanvasState,
-    prompt: Prompt,
-    temperature: float,
-    upstream: np.ndarray,
-    cache: ForwardCache | None = None,
-) -> None:
+def policy_backward(params: PolicyParams, probs: ProbMatrix, upstream: np.ndarray) -> None:
     """Accumulate d(sum upstream * logp)/dparams into ``params.grads``.
 
-    ``upstream`` holds one coefficient per (masked row, token); the softmax
-    Jacobian and both linear layers are applied analytically.
+    ``probs`` is a :func:`policy_forward` result, whose activations are
+    reused; ``upstream`` holds one coefficient per (masked row, token).  The
+    softmax Jacobian and both linear layers are applied analytically.
     """
-    if cache is None:
-        cache = _forward(params, state, prompt, temperature)
-    prob = cache.prob
+    if probs.hidden is None:
+        raise ValueError("policy_backward needs a matrix made by policy_forward")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != prob.log_rows.shape:
+    if upstream.shape != probs.log_rows.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match "
-            f"log-prob rows {prob.log_rows.shape}"
+            f"log-prob rows {probs.log_rows.shape}"
         )
     arch = params.arch
     # d logp_k / d z_j = delta_kj - p_j, applied row-wise; then undo temperature.
-    dz = upstream - prob.rows * upstream.sum(axis=1, keepdims=True)
+    dz = upstream - probs.rows * upstream.sum(axis=1, keepdims=True)
     dlogits = np.zeros((arch.length, arch.num_categories))
-    dlogits[prob.positions] = dz / cache.temperature
+    dlogits[probs.positions] = dz / probs.temperature
     dflat = dlogits.reshape(-1)
 
     gw1, gb1, gw2, gb2 = params._grad_views()
     w1, _, w2, _ = params._views()
-    gw2 += np.outer(cache.hidden, dflat)
+    gw2 += np.outer(probs.hidden, dflat)
     gb2 += dflat
     dh = w2 @ dflat
-    dpre = (1.0 - cache.hidden**2) * dh
-    gw1 += np.outer(cache.features, dpre)
+    dpre = (1.0 - probs.hidden**2) * dh
+    gw1 += np.outer(probs.features, dpre)
     gb1 += dpre
 
 

@@ -50,9 +50,39 @@ def _random_instances(count, seed):
     return out
 
 
+def _tie_instances(count, seed):
+    """Instances with an exact tie at the smallest kept confidence.
+
+    Rows are integer counts over a small common denominator, as saturated
+    rows give, so probabilities repeat exactly; an outcome is kept only when
+    a remasked row holds a token as likely as the smallest kept confidence.
+    """
+    rng = rng_for_stream(seed)
+    out = []
+    while len(out) < count:
+        m = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 5))
+        denom = int(rng.integers(2, 7))
+        counts = rng.multinomial(denom, np.full(k, 1.0 / k), size=m)
+        probs = ProbMatrix.from_rows(counts / denom)
+        sampled, confs = sample_step(probs, rng)
+        chosen = cam_select(confs, int(rng.integers(1, min(2, m - 1) + 1)))
+        outcome = StepOutcome(
+            sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
+        )
+        if np.any(probs.rows[~chosen] == confs[chosen].min()):
+            out.append((probs, outcome))
+    return out
+
+
 @pytest.fixture(scope="module")
 def instances():
     return _random_instances(1000, seed=20240901)
+
+
+@pytest.fixture(scope="module")
+def tie_instances():
+    return _tie_instances(250, seed=20240902)
 
 
 def _train_run(seed, transition="exact", reduction="none", train_steps=0):
@@ -88,24 +118,24 @@ def train_run(seed, transition="exact", reduction="none", train_steps=0):
     return _train_cache[key]
 
 
-def test_criterion_1_transition_exactness(instances):
+def test_criterion_1_transition_exactness(instances, tie_instances):
     start = time.perf_counter()
     worst = 0.0
-    for probs, outcome in instances:
+    for probs, outcome in instances + tie_instances:
         check = oracle_check(probs, outcome)
         assert check.abs_diff < 1e-10
         worst = max(worst, check.abs_diff)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(
-        f"criterion 1: PASS closed form vs enumeration on {len(instances)} instances, "
-        f"worst diff {worst:.2e}, {elapsed:.1f}s"
+        f"criterion 1: PASS closed form vs enumeration on {len(instances)} instances "
+        f"and {len(tie_instances)} tie instances, worst diff {worst:.2e}, {elapsed:.1f}s"
     )
 
 
-def test_criterion_2_normalization(instances):
+def test_criterion_2_normalization(instances, tie_instances):
     worst_enum = worst_model = 0.0
-    for probs, outcome in instances:
+    for probs, outcome in instances + tie_instances:
         table = enumerate_next_states(probs, outcome.num_chosen)
         enum_total = sum(table.values())
         assert abs(enum_total - 1.0) < 1e-10
@@ -121,8 +151,8 @@ def test_criterion_2_normalization(instances):
     )
 
 
-def test_criterion_3_ordering_chain(instances):
-    for probs, outcome in instances:
+def test_criterion_3_ordering_chain(instances, tie_instances):
+    for probs, outcome in instances + tie_instances:
         lp_ar = logprob_ar(probs, outcome)
         lp_exact = logprob_exact(probs, outcome)
         lp_kept = logprob_unmasked(probs, outcome)
@@ -130,7 +160,10 @@ def test_criterion_3_ordering_chain(instances):
         assert lp_exact <= lp_kept + 1e-12
         if outcome.chosen.all():
             assert lp_ar == lp_exact == lp_kept
-    print(f"criterion 3: PASS ordering chain on {len(instances)} instances")
+    print(
+        f"criterion 3: PASS ordering chain on {len(instances)} instances "
+        f"and {len(tie_instances)} tie instances"
+    )
 
 
 def test_criterion_4_gradients():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from maskgrpo import (
     PolicyArch,
     Prompt,
     Reduction,
+    StdHistory,
     TrainSetup,
     TransitionKind,
     adam_step,
@@ -246,7 +249,7 @@ def pattern_setup(**overrides):
         config=config,
         arch=arch,
         reward_fn=reward_pattern,
-        prompt_sampler=lambda rng: prompt,
+        prompt=prompt,
         total_steps=4,
         eval_rollouts=0,
     )
@@ -271,6 +274,21 @@ class TestTrain:
     def test_deterministic_metrics_modulo_wall_clock(self):
         a = train(pattern_setup(iterations=4)).metrics
         b = train(pattern_setup(iterations=4)).metrics
+        for ra, rb in zip(a, b):
+            for key in ra:
+                if key != "wall_ms":
+                    assert ra[key] == rb[key], key
+
+    def test_train_leaves_its_setup_unchanged(self):
+        # Each run starts from an empty filter history, so a second run on the
+        # same setup resamples, and so trains, exactly as the first did.
+        setup = dataclasses.replace(
+            pattern_setup(iterations=10), filter_settings=StdHistory(warmup_min=3)
+        )
+        a = train(setup).metrics
+        b = train(setup).metrics
+        assert sum(row["resamples"] for row in a) > 0
+        assert len(setup.filter_settings) == 0
         for ra, rb in zip(a, b):
             for key in ra:
                 if key != "wall_ms":

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from maskgrpo import PolicyArch, grpo, init_params, load_checkpoint, save_checkpoint
+from maskgrpo import PolicyArch, init_params, load_checkpoint, save_checkpoint
 from maskgrpo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -134,11 +134,20 @@ class TestCmdTrain:
         cmd_train(write_config(tmp_path, text), None)
         assert (target / "metrics.csv").exists()
 
-    def test_resample_budget_wider_than_the_stream_key_is_refused(self):
+    def test_resample_budget_wider_than_the_stream_key_is_refused(
+        self, tmp_path, monkeypatch, capsys
+    ):
         # Attempt 256 would share its rollout stream with the next iteration.
-        setup = ExperimentConfig(filter_max_resamples=256, iterations=1).train_setup()
         with pytest.raises(ValueError, match="max_resamples=256 exceeds 255"):
-            grpo.train(setup)
+            ExperimentConfig(filter_max_resamples=256, iterations=1).train_setup()
+        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+        out = tmp_path / "run"
+        text = f"filter_max_resamples=256\niterations=1\nout_dir={out}\n"
+        assert main(["train", "-c", write_config(tmp_path, text)]) == 2
+        assert not (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "max_resamples=256 exceeds 255" in err
 
 
 class TestCmdSample:

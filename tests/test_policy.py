@@ -4,6 +4,7 @@ import pytest
 from maskgrpo import (
     CanvasState,
     PolicyArch,
+    ProbMatrix,
     Prompt,
     apply_step,
     init_params,
@@ -82,10 +83,30 @@ class TestForward:
             policy_forward(params, state, prompt, 1.0)
 
 
+class TestFromRows:
+    def test_accepts_exact_zeros(self):
+        pm = ProbMatrix.from_rows([[1.0, 0.0], [0.25, 0.75]], positions=[1, 3])
+        assert pm.positions.tolist() == [1, 3]
+        assert pm.log_rows[0, 1] == -np.inf
+        assert pm.hidden is None and pm.features is None and pm.temperature is None
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
+            ProbMatrix.from_rows([[0.6, 0.6, -0.2]])
+
+    def test_row_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ProbMatrix.from_rows([[0.5, 0.4]])
+
+    def test_row_position_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one probability row per masked position"):
+            ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]], positions=[0])
+
+
 class TestBackward:
     def test_zero_upstream_leaves_grads_untouched(self):
         _, params, prompt, state = small_setup()
-        policy_backward(params, state, prompt, 1.0, np.zeros((4, 3)))
+        policy_backward(params, policy_forward(params, state, prompt, 1.0), np.zeros((4, 3)))
         assert not params.grads.any()
 
     def test_zero_params_closed_form(self):
@@ -100,15 +121,23 @@ class TestBackward:
         state = CanvasState.all_masked(1, 2)
         prompt = Prompt.pattern_match([0], 2, 4)
         upstream = np.array([[1.0, 0.0]])
-        policy_backward(params, state, prompt, 1.0, upstream)
+        policy_backward(params, policy_forward(params, state, prompt, 1.0), upstream)
         w1, b1, w2, b2 = params._grad_views()
         assert not w1.any() and not b1.any() and not w2.any()
         np.testing.assert_allclose(b2, [0.5, -0.5], atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         _, params, prompt, state = small_setup()
+        probs = policy_forward(params, state, prompt, 1.0)
         with pytest.raises(ValueError):
-            policy_backward(params, state, prompt, 1.0, np.zeros((2, 3)))
+            policy_backward(params, probs, np.zeros((2, 3)))
+
+    def test_hand_built_rows_rejected(self):
+        # A from_rows matrix carries no activations to differentiate through.
+        _, params, _, _ = small_setup()
+        probs = ProbMatrix.from_rows(np.full((4, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="policy_forward"):
+            policy_backward(params, probs, np.zeros((4, 3)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_differences(self, seed):
@@ -126,7 +155,7 @@ class TestBackward:
             return float((upstream * pm.log_rows).sum())
 
         params.zero_grads()
-        policy_backward(params, state, prompt, temperature, upstream)
+        policy_backward(params, policy_forward(params, state, prompt, temperature), upstream)
         analytic = params.grads.copy()
         step = 1e-6
         base = params.params.copy()
