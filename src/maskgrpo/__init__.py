@@ -35,12 +35,14 @@ from .grpo import (
 )
 from .policy import (
     PolicyArch,
+    PolicyBatch,
     PolicyParams,
     ProbMatrix,
     init_params,
     load_checkpoint,
     policy_backward,
     policy_forward,
+    policy_forward_batch,
     save_checkpoint,
 )
 from .rewards import reward_count, reward_fn_for, reward_pattern

@@ -9,12 +9,13 @@ exploration noise is added to the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import transition
 from .canvas import CanvasState, Prompt, UnmaskSchedule, apply_step
-from .policy import PolicyParams, ProbMatrix, policy_forward
+from .policy import PolicyParams, ProbMatrix, policy_forward_batch
 from .transition import StepOutcome, cam_select
 
 __all__ = [
@@ -77,40 +78,59 @@ def rollout(
     schedule: UnmaskSchedule,
     kind: "transition.TransitionKind",
     temperature: float = 1.0,
-    seed: int = 0,
-) -> Trajectory:
-    """Decode a full canvas and record everything needed to re-score it later."""
+    seed: int | Sequence[int] = 0,
+) -> Trajectory | list[Trajectory]:
+    """Decode canvases and record everything needed to re-score them later.
+
+    An integer ``seed`` decodes one canvas and returns its ``Trajectory``.  A
+    sequence of seeds decodes a group, one canvas per seed, and returns their
+    trajectories in order: every step runs one policy forward for the whole
+    group, and each member samples from its own seed's stream, so member
+    ``j`` is the rollout of ``seed[j]`` alone.
+    """
     arch = params.arch
     if schedule.total_tokens != arch.length:
         raise ValueError("schedule does not cover the canvas")
-    rng = rng_for_stream(seed)
-    state = CanvasState.all_masked(arch.length, arch.num_categories)
-    states = [state]
-    outcomes: list[StepOutcome] = []
-    old_logprobs = np.zeros(schedule.total_steps)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    size = len(seeds)
+    rngs = [rng_for_stream(s) for s in seeds]
+    blank = CanvasState.all_masked(arch.length, arch.num_categories)
+    states = [[blank] for _ in seeds]
+    outcomes: list[list[StepOutcome]] = [[] for _ in seeds]
+    old_logprobs = np.zeros((size, schedule.total_steps))
     for t, n_t in enumerate(schedule.counts):
-        probs = policy_forward(params, state, prompt, temperature)
-        sampled, confidences = sample_step(probs, rng)
-        chosen = cam_select(confidences, n_t)
-        outcome = StepOutcome(
-            sampled=sampled,
-            confidences=confidences,
-            chosen=chosen,
-            positions=probs.positions,
+        batch = policy_forward_batch(
+            params, [member[-1] for member in states], [prompt] * size, [temperature] * size
         )
-        old_logprobs[t] = transition.step_logprob(kind, probs, outcome)
-        state = apply_step(state, outcome.chosen_positions(), outcome.chosen_values())
-        states.append(state)
-        outcomes.append(outcome)
-    return Trajectory(
-        states=states,
-        outcomes=outcomes,
-        old_logprobs=old_logprobs,
-        prompt=prompt,
-        kind=kind,
-        temperature=temperature,
-        seed=seed,
-    )
+        for b, rng in enumerate(rngs):
+            probs = batch.probs(b)
+            sampled, confidences = sample_step(probs, rng)
+            chosen = cam_select(confidences, n_t)
+            outcome = StepOutcome(
+                sampled=sampled,
+                confidences=confidences,
+                chosen=chosen,
+                positions=probs.positions,
+            )
+            old_logprobs[b, t] = transition.step_logprob(kind, probs, outcome)
+            states[b].append(
+                apply_step(states[b][-1], outcome.chosen_positions(), outcome.chosen_values())
+            )
+            outcomes[b].append(outcome)
+    trajectories = [
+        Trajectory(
+            states=states[b],
+            outcomes=outcomes[b],
+            old_logprobs=old_logprobs[b],
+            prompt=prompt,
+            kind=kind,
+            temperature=temperature,
+            seed=seeds[b],
+        )
+        for b in range(size)
+    ]
+    return trajectories[0] if single else trajectories
 
 
 def dump_trajectory(traj: Trajectory, fh) -> None:

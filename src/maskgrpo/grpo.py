@@ -34,7 +34,7 @@ from .policy import (
     PolicyParams,
     init_params,
     policy_backward,
-    policy_forward,
+    policy_forward_batch,
 )
 from .rewards import RewardFn
 from .transition import TransitionKind
@@ -195,81 +195,92 @@ def grpo_loss_and_grad(
     fixed; the ratio against the rollout-time value enters the clipped
     surrogate.  The accumulated gradient is of the negated objective so a
     minimising optimiser performs ascent.  Rollout-time log-probs ride with
-    the trajectories.  ``compute_grad=False`` evaluates the objective only,
-    for finite-difference probes.
+    the trajectories.  All active steps of all groups go through one policy
+    forward (plus one reference forward when the KL weight is positive) and
+    one backward.  ``compute_grad=False`` evaluates the objective only, for
+    finite-difference probes.
     """
     if config.kl_beta > 0.0 and ref_params is None:
         raise ValueError("reference parameters required when the KL weight is positive")
-    total_terms = 0
+    # Every active (trajectory, step) of every group, scored in one batch.
+    terms = []
+    for group in groups:
+        n_traj = len(group.trajectories)
+        for j, traj in enumerate(group.trajectories):
+            steps = active_steps(config.reduction, traj.total_steps)
+            norm = 1.0 / (len(groups) * n_traj * steps.size)
+            adv = float(group.advantages[j])
+            terms += [(j, traj, int(t), adv, norm) for t in steps]
+    if not terms:
+        return 0.0, {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
+    batch_inputs = (
+        [traj.states[t] for _, traj, t, _, _ in terms],
+        [traj.prompt for _, traj, _, _, _ in terms],
+        [traj.temperature for _, traj, _, _, _ in terms],
+    )
+    batch = policy_forward_batch(params, *batch_inputs)
+    ref_batch = policy_forward_batch(ref_params, *batch_inputs) if config.kl_beta > 0.0 else None
+    back = np.zeros_like(batch.log_rows) if compute_grad else None
     objective = 0.0
     ratio_sum = 0.0
     clipped_count = 0
     kl_sum = 0.0
     lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
-    n_groups = len(groups)
-    for group in groups:
-        n_traj = len(group.trajectories)
-        for j, traj in enumerate(group.trajectories):
-            adv = float(group.advantages[j])
-            steps = active_steps(config.reduction, traj.total_steps)
-            norm = 1.0 / (n_groups * n_traj * steps.size)
-            for t in steps:
-                outcome = traj.outcomes[t]
-                probs = policy_forward(params, traj.states[t], traj.prompt, traj.temperature)
-                if compute_grad:
-                    new_logp, upstream = transition.step_logprob_upstream(
-                        traj.kind, probs, outcome
-                    )
-                else:
-                    new_logp, upstream = transition.step_logprob(traj.kind, probs, outcome), None
-                ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
-                if not np.isfinite(ratio):
-                    raise FloatingPointError(
-                        f"non-finite importance ratio at trajectory {j}, step {t}"
-                    )
-                unclipped = ratio * adv
-                clipped = min(max(ratio, lo), hi) * adv
-                term = min(unclipped, clipped)
-                coef = adv * ratio if unclipped <= clipped else 0.0
-                kl = 0.0
-                kl_up = None
-                if config.kl_beta > 0.0:
-                    ref_probs = policy_forward(
-                        ref_params, traj.states[t], traj.prompt, traj.temperature
-                    )
-                    idx = np.flatnonzero(outcome.chosen)
-                    kl = kl_step(probs.rows[idx], ref_probs.rows[idx])
-                    if compute_grad:
-                        kl_up = np.zeros_like(upstream)
-                        kl_up[idx] = probs.rows[idx] * (
-                            probs.log_rows[idx] - ref_probs.log_rows[idx]
-                        )
-                    term -= config.kl_beta * kl
-                objective += norm * term
-                ratio_sum += ratio
-                clipped_count += int(ratio < lo or ratio > hi)
-                kl_sum += kl
-                total_terms += 1
-                if not compute_grad:
-                    continue
-                # Gradient of the negated objective.
-                back = (-norm * coef) * upstream
-                if kl_up is not None:
-                    back += (norm * config.kl_beta) * kl_up
-                policy_backward(params, probs, back)
+    for i, (j, traj, t, adv, norm) in enumerate(terms):
+        outcome = traj.outcomes[t]
+        probs = batch.probs(i)
+        if compute_grad:
+            new_logp, upstream = transition.step_logprob_upstream(traj.kind, probs, outcome)
+        else:
+            new_logp, upstream = transition.step_logprob(traj.kind, probs, outcome), None
+        ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
+        if not np.isfinite(ratio):
+            raise FloatingPointError(f"non-finite importance ratio at trajectory {j}, step {t}")
+        unclipped = ratio * adv
+        clipped = min(max(ratio, lo), hi) * adv
+        term = min(unclipped, clipped)
+        coef = adv * ratio if unclipped <= clipped else 0.0
+        kl = 0.0
+        if ref_batch is not None:
+            ref_probs = ref_batch.probs(i)
+            idx = np.flatnonzero(outcome.chosen)
+            kl = kl_step(probs.rows[idx], ref_probs.rows[idx])
+            term -= config.kl_beta * kl
+        objective += norm * term
+        ratio_sum += ratio
+        clipped_count += int(ratio < lo or ratio > hi)
+        kl_sum += kl
+        if not compute_grad:
+            continue
+        # Gradient of the negated objective, on this term's rows of the batch.
+        rows = back[batch.start[i] : batch.start[i + 1]]
+        rows[:] = (-norm * coef) * upstream
+        if ref_batch is not None:
+            rows[idx] += (norm * config.kl_beta) * (
+                probs.rows[idx] * (probs.log_rows[idx] - ref_probs.log_rows[idx])
+            )
+    if compute_grad:
+        policy_backward(params, batch, back)
+    total_terms = len(terms)
     stats = {
-        "mean_ratio": ratio_sum / total_terms if total_terms else 0.0,
-        "clip_frac": clipped_count / total_terms if total_terms else 0.0,
-        "mean_kl": kl_sum / total_terms if total_terms else 0.0,
+        "mean_ratio": ratio_sum / total_terms,
+        "clip_frac": clipped_count / total_terms,
+        "mean_kl": kl_sum / total_terms,
     }
     return objective, stats
 
 
 @dataclass
 class AdamState:
+    """Adam moments plus one parameter-sized scratch buffer for the update."""
+
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def for_params(cls, params: PolicyParams) -> "AdamState":
@@ -277,14 +288,27 @@ class AdamState:
 
 
 def adam_step(params: PolicyParams, state: AdamState, config: GrpoConfig) -> None:
-    """One Adam update on the accumulated gradient; grads are zeroed after."""
-    g = params.grads
+    """One Adam update on the accumulated gradient; grads are zeroed after.
+
+    ``m``, ``v`` and the parameters are updated in place, in the operation
+    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``params -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with ``c1``, ``c2`` the
+    bias corrections; the scratch buffer and then the gradient buffer hold
+    the intermediates.
+    """
+    g, s = params.grads, state.scratch
+    b1, b2 = config.adam_beta1, config.adam_beta2
     state.step_count += 1
-    state.m = config.adam_beta1 * state.m + (1.0 - config.adam_beta1) * g
-    state.v = config.adam_beta2 * state.v + (1.0 - config.adam_beta2) * g * g
-    m_hat = state.m / (1.0 - config.adam_beta1**state.step_count)
-    v_hat = state.v / (1.0 - config.adam_beta2**state.step_count)
-    params.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    state.m *= b1
+    state.m += np.multiply(g, 1.0 - b1, out=s)
+    state.v *= b2
+    state.v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+    denom = np.sqrt(np.divide(state.v, 1.0 - b2**state.step_count, out=s), out=s)
+    denom += config.adam_eps
+    step = np.divide(state.m, 1.0 - b1**state.step_count, out=g)
+    step *= config.learning_rate
+    step /= denom
+    params.params -= step
     params.zero_grads()
 
 
@@ -354,18 +378,17 @@ def evaluate(
     seed_base: int,
 ) -> np.ndarray:
     """Rewards of fresh rollouts on the given (typically full) schedule."""
-    out = np.zeros(num_rollouts)
-    for i in range(num_rollouts):
-        traj = rollout(
-            params,
-            prompt,
-            schedule,
-            config.kind,
-            temperature=config.temperature,
-            seed=seed_base ^ (_TAG_EVAL | i),
-        )
-        out[i] = reward_fn(traj.final_state, prompt)
-    return out
+    if num_rollouts == 0:
+        return np.zeros(0)
+    trajs = rollout(
+        params,
+        prompt,
+        schedule,
+        config.kind,
+        temperature=config.temperature,
+        seed=[seed_base ^ (_TAG_EVAL | i) for i in range(num_rollouts)],
+    )
+    return np.array([reward_fn(traj.final_state, prompt) for traj in trajs], dtype=np.float64)
 
 
 def train(
@@ -395,17 +418,14 @@ def train(
         filtered = 0
         resamples = 0
         while True:
-            trajs = [
-                rollout(
-                    params,
-                    prompt,
-                    setup.train_schedule,
-                    config.kind,
-                    temperature=config.temperature,
-                    seed=config.seed ^ _rollout_stream(it, attempt, j),
-                )
-                for j in range(config.group_size)
-            ]
+            trajs = rollout(
+                params,
+                prompt,
+                setup.train_schedule,
+                config.kind,
+                temperature=config.temperature,
+                seed=[config.seed ^ _rollout_stream(it, attempt, j) for j in range(config.group_size)],
+            )
             rewards = np.array([setup.reward_fn(tr.final_state, prompt) for tr in trajs])
             for tr, r in zip(trajs, rewards):
                 tr.reward = float(r)

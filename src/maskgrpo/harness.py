@@ -30,8 +30,9 @@ from .policy import (
     PolicyParams,
     init_params,
     load_checkpoint,
-    policy_forward,
     policy_backward,
+    policy_forward,
+    policy_forward_batch,
     save_checkpoint,
 )
 from .rewards import reward_fn_for
@@ -521,10 +522,10 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
     for kind in TransitionKind:
         for _ in range(trials):
             params, state, prompt, temperature, outcome = _random_logprob_instance(rng)
-            probs = policy_forward(params, state, prompt, temperature)
-            _, upstream = transition.step_logprob_upstream(kind, probs, outcome)
+            batch = policy_forward_batch(params, [state], [prompt], [temperature])
+            _, upstream = transition.step_logprob_upstream(kind, batch.probs(0), outcome)
             params.zero_grads()
-            policy_backward(params, probs, upstream)
+            policy_backward(params, batch, upstream)
             analytic = params.grads.copy()
 
             def value() -> float:

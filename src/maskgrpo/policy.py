@@ -5,6 +5,8 @@ A single-hidden-layer tanh network maps the whole canvas (one-hot over
 prompt embedding to one logit row per position.  Rows for currently masked
 positions, tempered and log-softmaxed, form the per-step prediction
 distribution.  Every prediction therefore conditions on all unmasked tokens.
+Forward and backward run over a batch of canvases, each layer as one matrix
+product; a single canvas is the batch of one.
 
 Probabilities live in log space; linear-space copies are produced through a
 ``exp(max(logp, -80))`` clamp so that downstream products over many positions
@@ -17,6 +19,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +29,10 @@ __all__ = [
     "PolicyArch",
     "PolicyParams",
     "ProbMatrix",
+    "PolicyBatch",
     "init_params",
     "policy_forward",
+    "policy_forward_batch",
     "policy_backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -129,18 +134,13 @@ class ProbMatrix:
     """Per-masked-position token distributions, in canvas order.
 
     ``log_rows`` is canonical; ``rows`` is its clamped exponential, so every
-    entry is strictly positive for policy-produced matrices.  Those also keep
-    the activations that produced them (``features``, ``hidden``,
-    ``temperature``) for :func:`policy_backward`.  Matrices built with
-    :meth:`from_rows` (tests, oracles) have none and may carry exact zeros.
+    entry is strictly positive for policy-produced matrices.  Matrices built
+    with :meth:`from_rows` (tests, oracles) may carry exact zeros.
     """
 
     rows: np.ndarray
     log_rows: np.ndarray
     positions: np.ndarray
-    features: np.ndarray | None = None
-    hidden: np.ndarray | None = None
-    temperature: float | None = None
 
     @classmethod
     def from_rows(cls, rows, positions=None) -> "ProbMatrix":
@@ -168,73 +168,109 @@ class ProbMatrix:
         return self.rows.shape[1]
 
 
-def _encode_input(arch: PolicyArch, state: CanvasState, prompt: Prompt) -> np.ndarray:
-    if state.length != arch.length or state.num_categories != arch.num_categories:
+class PolicyBatch(NamedTuple):
+    """One forward pass over ``B`` canvases, kept for :func:`policy_backward`.
+
+    The prediction rows of all canvases are stacked in canvas order, one row
+    per masked position: rows ``start[b]:start[b + 1]`` belong to canvas
+    ``b``, and row ``r`` predicts position ``positions[r]`` of its canvas,
+    which is row ``index[r]`` of the batch's ``(B * N, K)`` logits.
+    ``features`` (one-hot canvases plus prompt embeddings, ``(B, d)``) and
+    ``hidden`` (``(B, h)``) are the activations the backward pass reuses.
+    """
+
+    features: np.ndarray
+    hidden: np.ndarray
+    rows: np.ndarray
+    log_rows: np.ndarray
+    index: np.ndarray
+    positions: np.ndarray
+    start: list[int]
+    temperature: np.ndarray
+
+    def probs(self, b: int) -> ProbMatrix:
+        """The prediction rows of canvas ``b``, as views into the batch."""
+        rows = slice(self.start[b], self.start[b + 1])
+        return ProbMatrix(self.rows[rows], self.log_rows[rows], self.positions[rows])
+
+
+def policy_forward_batch(
+    params: PolicyParams,
+    states: Sequence[CanvasState],
+    prompts: Sequence[Prompt],
+    temperatures: Sequence[float],
+) -> PolicyBatch:
+    """Forward pass over canvases ``states[b]`` with ``prompts[b]`` at
+    ``temperatures[b]``, each layer one matrix product; pure in all inputs.
+
+    Rows are a softmax of logits checked finite here, so need no row checks.
+    """
+    arch = params.arch
+    n, k = arch.length, arch.num_categories
+    if not len(states) == len(prompts) == len(temperatures) > 0:
+        raise ValueError("one prompt and one temperature per canvas required")
+    if min(temperatures) <= 0.0:
+        raise ValueError("temperature must be positive")
+    if any(s.length != n or s.num_categories != k for s in states):
         raise ValueError("canvas does not match policy architecture")
-    if prompt.embedding.size != arch.embed:
+    if any(p.embedding.size != arch.embed for p in prompts):
         raise ValueError("prompt embedding width does not match policy architecture")
-    kp1 = arch.num_categories + 1
-    x = np.zeros(arch.input_dim)
-    x[np.arange(arch.length) * kp1 + state.tokens] = 1.0
-    x[arch.length * kp1 :] = prompt.embedding
-    return x
+    b = len(states)
+    index = np.concatenate([s.mask_flags for s in states]).nonzero()[0]
+    start = index.searchsorted(np.arange(0, (b + 1) * n, n)).tolist()
+    if any(lo == hi for lo, hi in zip(start, start[1:])):
+        raise ValueError("no masked positions to predict")
+    tokens = np.array([s.tokens for s in states])
+    x = np.zeros((b, arch.input_dim))
+    x[np.arange(b)[:, None], np.arange(0, n * (k + 1), k + 1) + tokens] = 1.0
+    x[:, n * (k + 1) :] = [p.embedding for p in prompts]
+    w1, b1, w2, b2 = params._views()
+    h = np.tanh(x @ w1 + b1)
+    temperature = np.asarray(temperatures, dtype=np.float64)
+    z = ((h @ w2 + b2) / temperature[:, None]).reshape(b * n, k)[index]
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite logits")
+    z -= z.max(axis=1, keepdims=True)
+    log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
+    return PolicyBatch(x, h, rows, log_rows, index, index % n, start, temperature)
 
 
 def policy_forward(
     params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float = 1.0
 ) -> ProbMatrix:
-    """One tempered softmax row per masked position; pure in all inputs.
+    """One tempered softmax row per masked position of one canvas."""
+    return policy_forward_batch(params, [state], [prompt], [temperature]).probs(0)
 
-    Rows are a softmax of logits checked finite here, so need no row checks.
+
+def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
+    """Accumulate d(sum upstream * batch.log_rows)/dparams into ``params.grads``.
+
+    ``upstream`` holds one coefficient per (prediction row, token) of the
+    batch, shaped like ``batch.log_rows``.  The softmax Jacobian and both
+    linear layers are applied analytically, each layer as one matrix product
+    over the whole batch.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    masked = state.masked_positions()
-    if masked.size == 0:
-        raise ValueError("no masked positions to predict")
-    x = _encode_input(params.arch, state, prompt)
-    w1, b1, w2, b2 = params._views()
-    h = np.tanh(x @ w1 + b1)
-    logits = (h @ w2 + b2).reshape(params.arch.length, params.arch.num_categories)
-    z = logits[masked] / temperature
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    z -= z.max(axis=1, keepdims=True)
-    log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
-    return ProbMatrix(rows, log_rows, masked, features=x, hidden=h, temperature=temperature)
-
-
-def policy_backward(params: PolicyParams, probs: ProbMatrix, upstream: np.ndarray) -> None:
-    """Accumulate d(sum upstream * logp)/dparams into ``params.grads``.
-
-    ``probs`` is a :func:`policy_forward` result, whose activations are
-    reused; ``upstream`` holds one coefficient per (masked row, token).  The
-    softmax Jacobian and both linear layers are applied analytically.
-    """
-    if probs.hidden is None:
-        raise ValueError("policy_backward needs a matrix made by policy_forward")
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != probs.log_rows.shape:
+    if upstream.shape != batch.log_rows.shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match "
-            f"log-prob rows {probs.log_rows.shape}"
+            f"log-prob rows {batch.log_rows.shape}"
         )
     arch = params.arch
+    b = batch.hidden.shape[0]
     # d logp_k / d z_j = delta_kj - p_j, applied row-wise; then undo temperature.
-    dz = upstream - probs.rows * upstream.sum(axis=1, keepdims=True)
-    dlogits = np.zeros((arch.length, arch.num_categories))
-    dlogits[probs.positions] = dz / probs.temperature
-    dflat = dlogits.reshape(-1)
-
+    dz = upstream - batch.rows * upstream.sum(axis=1, keepdims=True)
+    dlogits = np.zeros((b * arch.length, arch.num_categories))
+    dlogits[batch.index] = dz / batch.temperature[batch.index // arch.length, None]
+    dlogits = dlogits.reshape(b, -1)
     gw1, gb1, gw2, gb2 = params._grad_views()
-    w1, _, w2, _ = params._views()
-    gw2 += np.outer(probs.hidden, dflat)
-    gb2 += dflat
-    dh = w2 @ dflat
-    dpre = (1.0 - probs.hidden**2) * dh
-    gw1 += np.outer(probs.features, dpre)
-    gb1 += dpre
+    _, _, w2, _ = params._views()
+    gw2 += batch.hidden.T @ dlogits
+    gb2 += dlogits.sum(axis=0)
+    dpre = (1.0 - batch.hidden**2) * (dlogits @ w2.T)
+    gw1 += batch.features.T @ dpre
+    gb1 += dpre.sum(axis=0)
 
 
 class CheckpointError(Exception):

@@ -91,6 +91,12 @@ class TestApplyStep:
         with pytest.raises(ValueError):
             apply_step(state, [1], [0])
 
+    def test_duplicate_positions_fail(self):
+        state = CanvasState.all_masked(4, 3)
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_step(state, [2, 0, 2], [1, 1, 1])
+        assert apply_step(state, [2, 0, 3], [1, 1, 1]).num_masked == 1
+
     def test_value_out_of_range_fails(self):
         state = CanvasState.all_masked(3, 4)
         with pytest.raises(ValueError):

@@ -121,6 +121,37 @@ class TestRollout:
         assert [o.num_chosen for o in traj.outcomes] == list(sched.counts)
         assert sum(o.num_chosen for o in traj.outcomes) == 8
 
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_group_decode_equals_single_decodes(self, kind):
+        # Members differ in seed, so rows mixed up between members would
+        # change their samples, keep sets or canvases.
+        params, prompt = tiny_policy(n=8, k=4, seed=3, zero=False)
+        sched = schedule_cosine(4, 8)
+        seeds = [11, 12, 13, 14]
+        group = rollout(params, prompt, sched, kind, temperature=0.8, seed=seeds)
+        assert [traj.seed for traj in group] == seeds
+        finals = set()
+        for traj, seed in zip(group, seeds):
+            alone = rollout(params, prompt, sched, kind, temperature=0.8, seed=seed)
+            for a, b in zip(traj.outcomes, alone.outcomes):
+                assert np.array_equal(a.sampled, b.sampled)
+                assert np.array_equal(a.chosen, b.chosen)
+                assert np.array_equal(a.positions, b.positions)
+            for a, b in zip(traj.states, alone.states):
+                assert np.array_equal(a.tokens, b.tokens)
+            assert np.array_equal(traj.final_state.tokens, alone.final_state.tokens)
+            np.testing.assert_allclose(traj.old_logprobs, alone.old_logprobs, rtol=0, atol=1e-12)
+            finals.add(traj.final_state.tokens.tobytes())
+        assert len(finals) > 1
+
+    def test_one_seed_in_a_sequence_gives_a_list(self):
+        params, prompt = tiny_policy(n=4, k=3, zero=False)
+        sched = schedule_uniform(2, 4)
+        group = rollout(params, prompt, sched, TransitionKind.EXACT, seed=[7])
+        alone = rollout(params, prompt, sched, TransitionKind.EXACT, seed=7)
+        assert isinstance(group, list) and len(group) == 1
+        assert np.array_equal(group[0].final_state.tokens, alone.final_state.tokens)
+
     def test_replay_reproduces_states(self):
         params, prompt = tiny_policy(n=8, k=4, zero=False)
         traj = rollout(params, prompt, schedule_cosine(4, 8), TransitionKind.EXACT, seed=17)

@@ -20,11 +20,13 @@ from maskgrpo import (
     grpo_loss_and_grad,
     init_params,
     kl_step,
+    policy_forward,
     rollout,
     schedule_cosine,
     train,
 )
 from maskgrpo.grpo import active_steps
+from maskgrpo.transition import step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
 
 
@@ -129,6 +131,28 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_in_place_update_is_bit_identical_to_the_expression(self):
+        config = self.config(learning_rate=0.05)
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        arch = PolicyArch(length=3, num_categories=3, hidden=5, embed=2)
+        params = init_params(arch, seed=8)
+        state = AdamState.for_params(params)
+        want, m, v = params.params.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
+        rng = np.random.default_rng(8)
+        for step in range(1, 6):
+            g = rng.normal(size=arch.param_count) * 10.0 ** rng.integers(-6, 2)
+            params.grads[:] = g
+            adam_step(params, state, config)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            want -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert params.params.tobytes() == want.tobytes()
+            assert not params.grads.any()
+
 
 def frozen_group(seed=0, kind=TransitionKind.EXACT, n=6, k=3, t=3, g=4, temperature=1.0):
     arch = PolicyArch(length=n, num_categories=k, hidden=8, embed=4)
@@ -203,6 +227,30 @@ class TestLossAndGrad:
         obj_kl, stats = grpo_loss_and_grad([group], params, ref, kl_cfg)
         assert stats["mean_kl"] > 0.0
         assert obj_kl < obj_plain
+
+    @pytest.mark.parametrize("compute_grad", [True, False])
+    @pytest.mark.parametrize("reduction", [Reduction.none(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_batched_pass_matches_per_state_reference(self, kind, kl_beta, reduction, compute_grad):
+        groups, params, ref_params = two_prompt_groups(kind)
+        config = GrpoConfig(group_size=3, kl_beta=kl_beta, reduction=reduction, kind=kind)
+        ref = ref_params if kl_beta > 0.0 else None
+        params.zero_grads()
+        objective, stats = grpo_loss_and_grad(groups, params, ref, config, compute_grad=compute_grad)
+        got = params.grads.copy()
+        params.zero_grads()
+        want_objective, want_stats, want = per_state_loss_and_grad(groups, params, ref, config)
+        assert abs(objective - want_objective) <= 1e-12 * abs(want_objective)
+        assert stats.keys() == want_stats.keys()
+        for key, value in want_stats.items():
+            assert abs(stats[key] - value) <= 1e-12 * abs(value)
+        assert 0.0 < want_stats["clip_frac"] < 1.0
+        if compute_grad:
+            assert np.abs(want).max() > 0.0
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        else:
+            assert not got.any()
 
     def test_compute_subset_matches_restricted_full_objective(self):
         group, params = frozen_group(seed=7, n=8, t=4, g=3)
@@ -322,3 +370,92 @@ class TestTrain:
         assert sched.total_tokens == setup.arch.length
         result = train(setup)
         assert len(result.metrics) == 2
+
+
+def two_prompt_groups(kind):
+    """Two groups of three rollouts with their own prompt and temperature.
+
+    Rollout-time log-probabilities are jittered so that some ratios clip,
+    and the reference policy is a perturbed copy.
+    """
+    n, k = 6, 3
+    arch = PolicyArch(length=n, num_categories=k, hidden=8, embed=4)
+    params = init_params(arch, seed=5)
+    rng = np.random.default_rng(5)
+    params.params += rng.normal(scale=0.3, size=params.params.shape)
+    ref_params = params.copy()
+    ref_params.params += rng.normal(scale=0.1, size=params.params.shape)
+    sched = schedule_cosine(4, n)
+    groups = []
+    for g, temperature in enumerate((0.8, 1.3)):
+        prompt = Prompt.pattern_match(rng.integers(0, k, size=n), k, arch.embed)
+        trajs = rollout(params, prompt, sched, kind, temperature=temperature, seed=[10 * g + j for j in range(3)])
+        for traj in trajs:
+            traj.old_logprobs = traj.old_logprobs + rng.normal(scale=0.25, size=sched.total_steps)
+        advantages, _ = group_advantages(rng.random(3))
+        groups.append(Group(prompt=prompt, trajectories=trajs, rewards=np.zeros(3), advantages=advantages))
+    return groups, params, ref_params
+
+
+def reference_backward(params, state, traj, upstream):
+    """One canvas's backward with the two rank-1 weight updates written out."""
+    arch = params.arch
+    kp1 = arch.num_categories + 1
+    x = np.zeros(arch.input_dim)
+    x[np.arange(arch.length) * kp1 + state.tokens] = 1.0
+    x[arch.length * kp1 :] = traj.prompt.embedding
+    w1, b1, w2, _ = params._views()
+    h = np.tanh(x @ w1 + b1)
+    probs = policy_forward(params, state, traj.prompt, traj.temperature)
+    dz = upstream - probs.rows * upstream.sum(axis=1, keepdims=True)
+    dlogits = np.zeros((arch.length, arch.num_categories))
+    dlogits[probs.positions] = dz / traj.temperature
+    dflat = dlogits.reshape(-1)
+    gw1, gb1, gw2, gb2 = params._grad_views()
+    gw2 += np.outer(h, dflat)
+    gb2 += dflat
+    dpre = (1.0 - h**2) * (w2 @ dflat)
+    gw1 += np.outer(x, dpre)
+    gb1 += dpre
+
+
+def per_state_loss_and_grad(groups, params, ref_params, config):
+    """The surrogate scored one recorded state at a time: the reference for
+    the batched pass of ``grpo_loss_and_grad``."""
+    lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
+    objective, ratios, clipped, kls = 0.0, [], 0, []
+    for group in groups:
+        for j, traj in enumerate(group.trajectories):
+            steps = active_steps(config.reduction, traj.total_steps)
+            norm = 1.0 / (len(groups) * len(group.trajectories) * steps.size)
+            adv = float(group.advantages[j])
+            for t in steps:
+                state, outcome = traj.states[t], traj.outcomes[t]
+                probs = policy_forward(params, state, traj.prompt, traj.temperature)
+                logp, upstream = step_logprob_upstream(traj.kind, probs, outcome)
+                ratio = float(np.exp(logp - traj.old_logprobs[t]))
+                unclipped, clip = ratio * adv, min(max(ratio, lo), hi) * adv
+                term = min(unclipped, clip)
+                back = (-norm * (adv * ratio if unclipped <= clip else 0.0)) * upstream
+                kl = 0.0
+                if config.kl_beta > 0.0:
+                    ref = policy_forward(ref_params, state, traj.prompt, traj.temperature)
+                    idx = np.flatnonzero(outcome.chosen)
+                    kl = kl_step(probs.rows[idx], ref.rows[idx])
+                    term -= config.kl_beta * kl
+                    back[idx] += (norm * config.kl_beta) * probs.rows[idx] * (
+                        probs.log_rows[idx] - ref.log_rows[idx]
+                    )
+                objective += norm * term
+                ratios.append(ratio)
+                clipped += int(ratio < lo or ratio > hi)
+                kls.append(kl)
+                reference_backward(params, state, traj, back)
+    grads = params.grads.copy()
+    params.zero_grads()
+    stats = {
+        "mean_ratio": sum(ratios) / len(ratios),
+        "clip_frac": clipped / len(ratios),
+        "mean_kl": sum(kls) / len(kls),
+    }
+    return objective, stats, grads

@@ -11,6 +11,7 @@ from maskgrpo import (
     load_checkpoint,
     policy_backward,
     policy_forward,
+    policy_forward_batch,
     save_checkpoint,
 )
 from maskgrpo.policy import ArchMismatchError, BadMagicError, TruncatedError, VersionError
@@ -83,12 +84,44 @@ class TestForward:
             policy_forward(params, state, prompt, 1.0)
 
 
+def two_canvas_batch(params):
+    """Two canvases that differ in mask pattern, prompt and temperature."""
+    blank = CanvasState.all_masked(4, 3)
+    states = [blank, apply_step(blank, [0, 2], [1, 2])]
+    prompts = [Prompt.pattern_match([0, 1, 2, 0], 3, 4), Prompt.pattern_match([2, 2, 1, 0], 3, 4)]
+    return states, prompts, [0.7, 1.3]
+
+
+class TestForwardBatch:
+    def test_rows_match_single_canvas_forwards(self):
+        _, params, _, _ = small_setup()
+        states, prompts, temps = two_canvas_batch(params)
+        batch = policy_forward_batch(params, states, prompts, temps)
+        assert batch.start == [0, 4, 6]
+        for b in range(2):
+            one = policy_forward(params, states[b], prompts[b], temps[b])
+            got = batch.probs(b)
+            assert got.positions.tolist() == one.positions.tolist()
+            np.testing.assert_allclose(got.log_rows, one.log_rows, rtol=0, atol=1e-14)
+
+    def test_mismatched_lengths_rejected(self):
+        _, params, prompt, state = small_setup()
+        with pytest.raises(ValueError, match="one prompt and one temperature"):
+            policy_forward_batch(params, [state, state], [prompt], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one prompt and one temperature"):
+            policy_forward_batch(params, [], [], [])
+
+    def test_complete_canvas_in_a_batch_rejected(self):
+        _, params, prompt, state = small_setup()
+        full = apply_step(state, [0, 1, 2, 3], [0, 0, 0, 0])
+        with pytest.raises(ValueError, match="no masked positions"):
+            policy_forward_batch(params, [state, full], [prompt, prompt], [1.0, 1.0])
+
 class TestFromRows:
     def test_accepts_exact_zeros(self):
         pm = ProbMatrix.from_rows([[1.0, 0.0], [0.25, 0.75]], positions=[1, 3])
         assert pm.positions.tolist() == [1, 3]
         assert pm.log_rows[0, 1] == -np.inf
-        assert pm.hidden is None and pm.features is None and pm.temperature is None
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
@@ -106,7 +139,9 @@ class TestFromRows:
 class TestBackward:
     def test_zero_upstream_leaves_grads_untouched(self):
         _, params, prompt, state = small_setup()
-        policy_backward(params, policy_forward(params, state, prompt, 1.0), np.zeros((4, 3)))
+        policy_backward(
+            params, policy_forward_batch(params, [state], [prompt], [1.0]), np.zeros((4, 3))
+        )
         assert not params.grads.any()
 
     def test_zero_params_closed_form(self):
@@ -121,23 +156,33 @@ class TestBackward:
         state = CanvasState.all_masked(1, 2)
         prompt = Prompt.pattern_match([0], 2, 4)
         upstream = np.array([[1.0, 0.0]])
-        policy_backward(params, policy_forward(params, state, prompt, 1.0), upstream)
+        policy_backward(params, policy_forward_batch(params, [state], [prompt], [1.0]), upstream)
         w1, b1, w2, b2 = params._grad_views()
         assert not w1.any() and not b1.any() and not w2.any()
         np.testing.assert_allclose(b2, [0.5, -0.5], atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         _, params, prompt, state = small_setup()
-        probs = policy_forward(params, state, prompt, 1.0)
+        batch = policy_forward_batch(params, [state], [prompt], [1.0])
         with pytest.raises(ValueError):
-            policy_backward(params, probs, np.zeros((2, 3)))
+            policy_backward(params, batch, np.zeros((2, 3)))
 
-    def test_hand_built_rows_rejected(self):
-        # A from_rows matrix carries no activations to differentiate through.
+    def test_two_canvas_backward_is_the_sum_of_one_canvas_backwards(self):
         _, params, _, _ = small_setup()
-        probs = ProbMatrix.from_rows(np.full((4, 3), 1.0 / 3.0))
-        with pytest.raises(ValueError, match="policy_forward"):
-            policy_backward(params, probs, np.zeros((4, 3)))
+        states, prompts, temps = two_canvas_batch(params)
+        batch = policy_forward_batch(params, states, prompts, temps)
+        upstream = np.random.Generator(np.random.Philox(key=4)).normal(size=batch.log_rows.shape)
+        params.zero_grads()
+        policy_backward(params, batch, upstream)
+        together = params.grads.copy()
+        apart = np.zeros_like(together)
+        for b in range(2):
+            params.zero_grads()
+            one = policy_forward_batch(params, [states[b]], [prompts[b]], [temps[b]])
+            policy_backward(params, one, upstream[batch.start[b] : batch.start[b + 1]])
+            apart += params.grads
+        assert np.abs(apart).max() > 0.0
+        np.testing.assert_allclose(together, apart, rtol=0, atol=1e-12 * np.abs(apart).max())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_differences(self, seed):
@@ -155,7 +200,8 @@ class TestBackward:
             return float((upstream * pm.log_rows).sum())
 
         params.zero_grads()
-        policy_backward(params, policy_forward(params, state, prompt, temperature), upstream)
+        batch = policy_forward_batch(params, [state], [prompt], [temperature])
+        policy_backward(params, batch, upstream)
         analytic = params.grads.copy()
         step = 1e-6
         base = params.params.copy()
