@@ -49,9 +49,9 @@ class CanvasState:
         if self.num_categories < 2:
             raise ValueError("need at least 2 token categories")
         mask_value = self.num_categories
-        if ((tokens < 0) | (tokens > mask_value)).any():
+        if np.any((tokens < 0) | (tokens > mask_value)):
             raise ValueError("token values out of range")
-        if ((tokens == mask_value) != flags).any():
+        if np.any((tokens == mask_value) != flags):
             raise ValueError("mask flags inconsistent with mask sentinel tokens")
         tokens.setflags(write=False)
         flags.setflags(write=False)
@@ -158,14 +158,13 @@ def apply_step(state: CanvasState, positions, values) -> CanvasState:
     if positions.shape != values.shape:
         raise ValueError("positions and values must align")
     if positions.size:
-        if ((positions < 0) | (positions >= state.length)).any():
+        if np.any((positions < 0) | (positions >= state.length)):
             raise ValueError("position out of range")
-        ordered = np.sort(positions)
-        if (ordered[1:] == ordered[:-1]).any():
+        if len(np.unique(positions)) != positions.size:
             raise ValueError("duplicate positions in one step")
         if not state.mask_flags[positions].all():
             raise ValueError("cannot rewrite an already unmasked position")
-        if ((values < 0) | (values >= state.num_categories)).any():
+        if np.any((values < 0) | (values >= state.num_categories)):
             raise ValueError("token value out of range")
     tokens = state.tokens.copy()
     flags = state.mask_flags.copy()

@@ -586,17 +586,14 @@ def _random_objective_instance(rng: np.random.Generator, beta: float):
             ref_params = params.copy()
             ref_params.params += rng.normal(scale=0.1, size=ref_params.params.shape)
         prompt = Prompt.pattern_match(rng.integers(0, k, size=n), k, arch.embed)
-        trajs = [
-            rollout(
-                params,
-                prompt,
-                sched,
-                config.kind,
-                temperature=config.temperature,
-                seed=int(rng.integers(2**63)),
-            )
-            for _ in range(g)
-        ]
+        trajs = rollout(
+            params,
+            prompt,
+            sched,
+            config.kind,
+            temperature=config.temperature,
+            seed=[int(rng.integers(2**63)) for _ in range(g)],
+        )
         # Jittered rollout-time log-probs spread the ratios so the clip branch
         # is exercised; they are constants of the objective either way.
         for traj in trajs:

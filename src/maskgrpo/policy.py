@@ -251,6 +251,8 @@ def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
     linear layers are applied analytically, each layer as one matrix product
     over the whole batch.
     """
+    if not isinstance(batch, PolicyBatch):
+        raise ValueError("policy_backward needs the PolicyBatch of policy_forward_batch")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != batch.log_rows.shape:
         raise ValueError(

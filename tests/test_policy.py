@@ -122,6 +122,7 @@ class TestFromRows:
         pm = ProbMatrix.from_rows([[1.0, 0.0], [0.25, 0.75]], positions=[1, 3])
         assert pm.positions.tolist() == [1, 3]
         assert pm.log_rows[0, 1] == -np.inf
+        assert not hasattr(pm, "hidden") and not hasattr(pm, "features")
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
@@ -166,6 +167,14 @@ class TestBackward:
         batch = policy_forward_batch(params, [state], [prompt], [1.0])
         with pytest.raises(ValueError):
             policy_backward(params, batch, np.zeros((2, 3)))
+
+    def test_hand_built_rows_rejected(self):
+        # A from_rows matrix carries no activations to differentiate through,
+        # even when its shape matches the upstream.
+        _, params, _, _ = small_setup()
+        probs = ProbMatrix.from_rows(np.full((4, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="PolicyBatch of policy_forward_batch"):
+            policy_backward(params, probs, np.zeros((4, 3)))
 
     def test_two_canvas_backward_is_the_sum_of_one_canvas_backwards(self):
         _, params, _, _ = small_setup()
