@@ -21,6 +21,7 @@ from .transition import StepOutcome, cam_select
 __all__ = [
     "Trajectory",
     "sample_step",
+    "draw_outcome",
     "rollout",
     "rng_for_stream",
     "dump_trajectory",
@@ -72,6 +73,13 @@ def sample_step(probs: ProbMatrix, rng: np.random.Generator):
     return sampled.astype(np.int64), confidences
 
 
+def draw_outcome(probs: ProbMatrix, rng: np.random.Generator, num_to_keep: int) -> StepOutcome:
+    """One decode step's draw: sample every row, then keep the most confident."""
+    sampled, confidences = sample_step(probs, rng)
+    chosen = cam_select(confidences, num_to_keep)
+    return StepOutcome(sampled, confidences, chosen, probs.positions)
+
+
 def rollout(
     params: PolicyParams,
     prompt: Prompt,
@@ -105,14 +113,7 @@ def rollout(
         )
         for b, rng in enumerate(rngs):
             probs = batch.probs(b)
-            sampled, confidences = sample_step(probs, rng)
-            chosen = cam_select(confidences, n_t)
-            outcome = StepOutcome(
-                sampled=sampled,
-                confidences=confidences,
-                chosen=chosen,
-                positions=probs.positions,
-            )
+            outcome = draw_outcome(probs, rng, n_t)
             old_logprobs[b, t] = transition.step_logprob(kind, probs, outcome)
             states[b].append(
                 apply_step(states[b][-1], outcome.chosen_positions(), outcome.chosen_values())

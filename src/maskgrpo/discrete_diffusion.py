@@ -76,14 +76,14 @@ def build_absorbing_q(num_states: int, rate: float) -> TransitionMatrix:
     return TransitionMatrix(q=q, kind=MatrixKind.ABSORBING, rate=rate)
 
 
-_BUILDERS = {MatrixKind.UNIFORM: build_uniform_q, MatrixKind.ABSORBING: build_absorbing_q}
+BUILDERS = {MatrixKind.UNIFORM: build_uniform_q, MatrixKind.ABSORBING: build_absorbing_q}
 
 
 def cumulative_q(num_states: int, rates, kind: MatrixKind) -> np.ndarray:
     """Product of the per-step matrices; row-stochastic like its factors."""
     out = np.eye(num_states)
     for rate in rates:
-        out = out @ _BUILDERS[kind](num_states, rate).q
+        out = out @ BUILDERS[kind](num_states, rate).q
     return out
 
 
@@ -118,7 +118,7 @@ def reverse_posterior_enumerated(
         raise ValueError("need at least one corruption step")
     if num_states**steps > 10**4:
         raise ValueError("path enumeration guard exceeded")
-    qs = [_BUILDERS[kind](num_states, r).q for r in rates]
+    qs = [BUILDERS[kind](num_states, r).q for r in rates]
     joint_prev = np.zeros(num_states)
     for path in itertools.product(range(num_states), repeat=steps - 1):
         chain = (x0,) + path + (x_t,)
@@ -157,7 +157,7 @@ def elbo_terms(
         )
     terms = np.zeros(steps)
     for t in range(1, steps + 1):
-        q_t = _BUILDERS[kind](num_states, rates[t - 1])
+        q_t = BUILDERS[kind](num_states, rates[t - 1])
         qbar_prev = cumulative_q(num_states, rates[: t - 1], kind)
         marg_t = (qbar_prev @ q_t.q)[x0]
         term = 0.0

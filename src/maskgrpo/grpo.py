@@ -416,7 +416,6 @@ def train(
         t0 = time.perf_counter()
         attempt = 0
         filtered = 0
-        resamples = 0
         while True:
             trajs = rollout(
                 params,
@@ -435,7 +434,6 @@ def train(
             decision = filtering.admit(history, std, attempt)
             filtered += int(below)
             if decision is filtering.Decision.RESAMPLE:
-                resamples += 1
                 attempt += 1
                 continue
             if below:
@@ -454,9 +452,6 @@ def train(
             advantages=advantages,
             degenerate=degenerate,
         )
-        objective = 0.0
-        stats = {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
-        grad_norm = 0.0
         for _ in range(config.inner_epochs):
             params.zero_grads()
             objective, stats = grpo_loss_and_grad([group], params, ref_params, config)
@@ -468,7 +463,7 @@ def train(
             "mean_reward": float(rewards.mean()),
             "std_reward": std,
             "filtered_groups": filtered,
-            "resamples": resamples,
+            "resamples": attempt,
             "loss": objective,
             "mean_ratio": stats["mean_ratio"],
             "clip_frac": stats["clip_frac"],

@@ -23,7 +23,7 @@ import numpy as np
 from . import discrete_diffusion as dd
 from . import filtering, grpo, transition
 from .canvas import SCHEDULES, CanvasState, Prompt, TaskKind, apply_step, schedule_cosine
-from .decoder import dump_trajectory, rollout, sample_step
+from .decoder import draw_outcome, dump_trajectory, rollout, sample_step
 from .policy import (
     CheckpointError,
     PolicyArch,
@@ -396,11 +396,7 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         k = int(rng.integers(2, 5))
         n_keep = int(rng.integers(1, min(2, m) + 1))
         probs = transition.ProbMatrix.from_rows(_random_prob_rows(rng, m, k))
-        sampled, confs = sample_step(probs, rng)
-        chosen = cam_select(confs, n_keep)
-        outcome = StepOutcome(
-            sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
-        )
+        outcome = draw_outcome(probs, rng, n_keep)
         lp_exact = transition.logprob_exact(probs, outcome)
         table = transition.enumerate_next_states(probs, n_keep)
         enumerated = table.get(transition.signature_of_outcome(outcome), 0.0)
@@ -416,7 +412,7 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         # 1e-12 slack absorbs the different float paths of equal-value cases.
         if not (lp_ar <= lp_exact + 1e-12 and lp_exact <= lp_kept + 1e-12):
             violations += 1
-        if np.all(chosen) and not (lp_ar == lp_exact == lp_kept):
+        if np.all(outcome.chosen) and not (lp_ar == lp_exact == lp_kept):
             violations += 1
     return VerifyReport(
         trials=trials,
@@ -448,6 +444,10 @@ def _grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, fl
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
     rel = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), 0.0)
     return float(np.where(diff <= 1e-8, 0.0, rel).max(initial=0.0)), float(diff.max(initial=0.0))
+
+
+LOGPROB_FD_STEP = 1e-6
+OBJECTIVE_FD_STEP = 1e-5
 
 
 def _fd_gradient(fn, params: PolicyParams, step: float) -> np.ndarray:
@@ -505,7 +505,7 @@ def _random_logprob_instance(rng: np.random.Generator):
         return params, state, prompt, temperature, outcome
 
 
-def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport:
+def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
     """Central finite differences against the analytic gradients.
 
     Checks every parameter coordinate of each step log-probability definition
@@ -533,7 +533,7 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
                     kind, policy_forward(params, state, prompt, temperature), outcome
                 )
 
-            rel, diff = _grad_mismatch(analytic, _fd_gradient(value, params, step))
+            rel, diff = _grad_mismatch(analytic, _fd_gradient(value, params, LOGPROB_FD_STEP))
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
 
     for beta in (0.0, 0.5):
@@ -553,7 +553,7 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
                 )
                 return value
 
-            rel, diff = _grad_mismatch(analytic, _fd_gradient(objective, params, step=1e-5))
+            rel, diff = _grad_mismatch(analytic, _fd_gradient(objective, params, OBJECTIVE_FD_STEP))
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
     return GradcheckReport(
         trials=trials,
@@ -565,12 +565,10 @@ def run_gradcheck(trials: int, seed: int, step: float = 1e-6) -> GradcheckReport
 
 def _random_objective_instance(rng: np.random.Generator, beta: float):
     """Frozen rollout batch at a generic point of the surrogate objective."""
-    from .grpo import Group, GrpoConfig, group_advantages
-
     k, n, t, g = 3, 4, 2, 3
     arch = PolicyArch(length=n, num_categories=k, hidden=4, embed=2)
     kind = list(TransitionKind)[int(rng.integers(0, 3))]
-    config = GrpoConfig(
+    config = grpo.GrpoConfig(
         group_size=g,
         kl_beta=beta,
         kind=kind,
@@ -599,8 +597,8 @@ def _random_objective_instance(rng: np.random.Generator, beta: float):
         for traj in trajs:
             traj.old_logprobs = traj.old_logprobs + rng.normal(scale=0.25, size=t)
         rewards = rng.random(g)
-        advantages, _ = group_advantages(rewards)
-        group = Group(
+        advantages, _ = grpo.group_advantages(rewards)
+        group = grpo.Group(
             prompt=prompt,
             trajectories=trajs,
             rewards=rewards,
@@ -649,10 +647,6 @@ class D3pmReport(NamedTuple):
 def run_d3pm_suite(seed: int = 0) -> D3pmReport:
     """Property suite for the discrete-diffusion companion module."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    builders = {
-        dd.MatrixKind.UNIFORM: dd.build_uniform_q,
-        dd.MatrixKind.ABSORBING: dd.build_absorbing_q,
-    }
     worst_row = 0.0
     worst_marg = 0.0
     worst_post = 0.0
@@ -665,7 +659,7 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
             rates = rng.uniform(0.0, 1.0, size=steps)
             cum = np.eye(num_states)
             for rate in rates:
-                q = builders[kind](num_states, rate).q
+                q = dd.BUILDERS[kind](num_states, rate).q
                 worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
                 cum = cum @ q
                 worst_row = max(worst_row, float(np.abs(cum.sum(axis=1) - 1.0).max()))
@@ -683,7 +677,7 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
             max_steps = int(np.floor(np.log(10**4) / np.log(num_states)))
             steps = int(rng.integers(1, max_steps + 1))
             rates = rng.uniform(0.05, 0.95, size=steps)
-            q_t = builders[kind](num_states, rates[-1])
+            q_t = dd.BUILDERS[kind](num_states, rates[-1])
             qbar_prev = dd.cumulative_q(num_states, rates[:-1], kind)
             marg = dd.forward_marginal(0, num_states, rates, kind)
             for x_t in range(num_states):

@@ -151,6 +151,8 @@ class ProbMatrix:
         )
         if rows.ndim != 2 or rows.shape[0] != positions.size:
             raise ValueError("one probability row per masked position required")
+        if positions.ndim != 1 or (positions < 0).any() or (np.diff(positions) <= 0).any():
+            raise ValueError(f"positions {positions.tolist()} must be >= 0 and strictly increasing")
         if np.any(rows < 0.0) or np.any(rows > 1.0 + 1e-12):
             raise ValueError("probabilities out of [0, 1]")
         if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):

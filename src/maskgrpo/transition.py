@@ -7,8 +7,8 @@ remasks the rest; the lowest-index tie-break makes the selection a
 deterministic function of the confidences.
 
 Given the prediction rows for the masked positions and one step's outcome,
-three log-probability definitions are provided for the move to the next
-canvas:
+one function, ``_score``, gives the log-probability of the move to the next
+canvas under all three definitions:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
@@ -128,42 +128,25 @@ def _check_consistent(probs: ProbMatrix, outcome: StepOutcome) -> None:
         raise ValueError("sampled token out of range")
 
 
-def logprob_ar(probs: ProbMatrix, outcome: StepOutcome) -> float:
-    """Sum of log confidences over all masked positions."""
+def _score(kind: TransitionKind, probs: ProbMatrix, outcome: StepOutcome):
+    """Log-probability, the scored rows (all for ``AR_STYLE``, else the kept
+    ones) and, for ``EXACT`` only, each remasked row's probabilities on its
+    support with zeros elsewhere."""
     _check_consistent(probs, outcome)
-    rows = probs.rows
-    cs = rows[np.arange(rows.shape[0]), outcome.sampled]
-    if np.any(cs == 0.0):
-        raise DegenerateOutcomeError("confidence of a sampled token is exactly zero")
-    return float(probs.log_rows[np.arange(rows.shape[0]), outcome.sampled].sum())
-
-
-def logprob_unmasked(probs: ProbMatrix, outcome: StepOutcome) -> float:
-    """Sum of log confidences over the kept positions only."""
-    _check_consistent(probs, outcome)
-    idx = np.flatnonzero(outcome.chosen)
-    cs = probs.rows[idx, outcome.sampled[idx]]
-    if np.any(cs == 0.0):
-        raise DegenerateOutcomeError("confidence of a kept token is exactly zero")
-    return float(probs.log_rows[idx, outcome.sampled[idx]].sum())
-
-
-def _exact_parts(probs: ProbMatrix, outcome: StepOutcome) -> tuple[float, np.ndarray]:
-    """``EXACT`` log-probability plus each remasked row's support mass.
-
-    The second value holds, for every remasked row, the row's probabilities
-    on its support (see the module docstring) and zeros elsewhere.
-    """
-    _check_consistent(probs, outcome)
-    kept = np.flatnonzero(outcome.chosen)
-    if kept.size == 0:
-        raise ValueError("a step must keep at least one position")
-    tokens = outcome.sampled[kept]
-    cs_kept = probs.rows[kept, tokens]
-    if (cs_kept == 0.0).any():
-        raise DegenerateOutcomeError("confidence of a kept token is exactly zero")
-    total = float(probs.log_rows[kept, tokens].sum())
-    min_cs = cs_kept.min()
+    if kind is TransitionKind.AR_STYLE:
+        scored = np.arange(probs.num_rows)
+    else:
+        scored = np.flatnonzero(outcome.chosen)
+        if kind is TransitionKind.EXACT and scored.size == 0:
+            raise ValueError("a step must keep at least one position")
+    tokens = outcome.sampled[scored]
+    cs = probs.rows[scored, tokens]
+    if (cs == 0.0).any():
+        raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
+    total = float(probs.log_rows[scored, tokens].sum())
+    if kind is not TransitionKind.EXACT:
+        return total, scored, None
+    min_cs = cs.min()
     remasked = ~outcome.chosen
     rows = probs.rows[remasked]
     inside = rows < min_cs
@@ -171,7 +154,7 @@ def _exact_parts(probs: ProbMatrix, outcome: StepOutcome) -> tuple[float, np.nda
     if tied.any():
         # A tied sample at a row above the last kept row holding ``min_cs``
         # loses the lowest-index tie-break, so it is remasked too.
-        above = np.flatnonzero(remasked) > kept[cs_kept == min_cs][-1]
+        above = np.flatnonzero(remasked) > scored[cs == min_cs][-1]
         inside |= tied & above[:, None]
     support = np.where(inside, rows, 0.0)
     if support.size:
@@ -183,23 +166,26 @@ def _exact_parts(probs: ProbMatrix, outcome: StepOutcome) -> tuple[float, np.nda
                 f"that ranks below the selection threshold {min_cs!r}"
             )
         total += float(np.log(mass).sum())
-    return total, support
+    return total, scored, support
+
+
+def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome) -> float:
+    return _score(kind, probs, outcome)[0]
+
+
+def logprob_ar(probs: ProbMatrix, outcome: StepOutcome) -> float:
+    """Sum of log confidences over all masked positions."""
+    return _score(TransitionKind.AR_STYLE, probs, outcome)[0]
 
 
 def logprob_exact(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Kept confidences times the support mass at each remasked position."""
-    return _exact_parts(probs, outcome)[0]
+    return _score(TransitionKind.EXACT, probs, outcome)[0]
 
 
-_LOGPROB_FNS = {
-    TransitionKind.AR_STYLE: logprob_ar,
-    TransitionKind.EXACT: logprob_exact,
-    TransitionKind.UNMASKED_ONLY: logprob_unmasked,
-}
-
-
-def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome) -> float:
-    return _LOGPROB_FNS[kind](probs, outcome)
+def logprob_unmasked(probs: ProbMatrix, outcome: StepOutcome) -> float:
+    """Sum of log confidences over the kept positions only."""
+    return _score(TransitionKind.UNMASKED_ONLY, probs, outcome)[0]
 
 
 def step_logprob_upstream(
@@ -208,25 +194,16 @@ def step_logprob_upstream(
     """Step log-prob plus its gradient expressed on the log-probability rows.
 
     The returned matrix ``u`` satisfies: d(logprob)/d(logit row i) equals the
-    softmax backward of ``u`` row i.  For kept positions this is a one-hot at
-    the sampled token; for remasked positions under ``EXACT`` it is the row's
-    probability mass restricted to its support, renormalised by that
+    softmax backward of ``u`` row i.  For scored positions this is a one-hot
+    at the sampled token; for remasked positions under ``EXACT`` it is the
+    row's probability mass restricted to its support, renormalised by that
     support's total mass (sets held locally constant, see module docstring).
     """
-    m, k = probs.rows.shape
-    upstream = np.zeros((m, k))
-    kept = np.flatnonzero(outcome.chosen)
-    if kind is TransitionKind.AR_STYLE:
-        value = logprob_ar(probs, outcome)
-        upstream[np.arange(m), outcome.sampled] = 1.0
-    elif kind is TransitionKind.UNMASKED_ONLY:
-        value = logprob_unmasked(probs, outcome)
-        upstream[kept, outcome.sampled[kept]] = 1.0
-    else:
-        value, support = _exact_parts(probs, outcome)
-        upstream[kept, outcome.sampled[kept]] = 1.0
-        if support.size:
-            upstream[~outcome.chosen] = support / support.sum(axis=1, keepdims=True)
+    value, scored, support = _score(kind, probs, outcome)
+    upstream = np.zeros(probs.rows.shape)
+    upstream[scored, outcome.sampled[scored]] = 1.0
+    if support is not None:
+        upstream[~outcome.chosen] = support / support.sum(axis=1, keepdims=True)
     return value, upstream
 
 

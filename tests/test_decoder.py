@@ -18,7 +18,7 @@ from maskgrpo import (
     schedule_cosine,
     schedule_uniform,
 )
-from maskgrpo.decoder import dump_trajectory, rng_for_stream
+from maskgrpo.decoder import draw_outcome, dump_trajectory, rng_for_stream
 from maskgrpo.transition import enumerate_next_states, signature_of_outcome
 
 
@@ -55,6 +55,15 @@ class TestSampleStep:
         pm = ProbMatrix.from_rows(np.tile([0.0, 0.5, 0.0, 0.5], (2000, 1)))
         sampled, _ = sample_step(pm, rng_for_stream(1))
         assert set(np.unique(sampled)) <= {1, 3}
+
+    def test_draw_outcome_is_sample_then_select(self):
+        pm = ProbMatrix.from_rows([[0.2, 0.3, 0.5], [0.7, 0.1, 0.2], [0.4, 0.4, 0.2]], [1, 2, 4])
+        outcome = draw_outcome(pm, rng_for_stream(9), 2)
+        sampled, conf = sample_step(pm, rng_for_stream(9))
+        assert np.array_equal(outcome.sampled, sampled)
+        assert np.array_equal(outcome.confidences, conf)
+        assert np.array_equal(outcome.chosen, cam_select(conf, 2))
+        assert np.array_equal(outcome.positions, pm.positions)
 
 
 class TestCamSelect:
@@ -170,10 +179,13 @@ class TestRollout:
         sched = schedule_uniform(2, 2)
         counts = {}
         n = 10**5
-        for i in range(n):
-            traj = rollout(params, prompt, sched, TransitionKind.UNMASKED_ONLY, seed=i)
-            key = tuple(traj.final_state.tokens)
-            counts[key] = counts.get(key, 0) + 1
+        # Seeds 0..n-1 decode as groups of 1,000; each member is the rollout
+        # of its seed alone (test_group_decode_equals_single_decodes).
+        for start in range(0, n, 1000):
+            seeds = list(range(start, start + 1000))
+            for traj in rollout(params, prompt, sched, TransitionKind.UNMASKED_ONLY, seed=seeds):
+                key = tuple(traj.final_state.tokens)
+                counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 4
         for key, c in counts.items():
             assert abs(c / n - 0.25) < 0.01, (key, c / n)
@@ -187,10 +199,11 @@ class TestRollout:
         table = enumerate_next_states(probs, sched.counts[0])
         n = 20000
         freq = {}
-        for i in range(n):
-            traj = rollout(params, prompt, sched, TransitionKind.EXACT, seed=i)
-            sig = signature_of_outcome(traj.outcomes[0])
-            freq[sig] = freq.get(sig, 0) + 1
+        for start in range(0, n, 1000):
+            seeds = list(range(start, start + 1000))
+            for traj in rollout(params, prompt, sched, TransitionKind.EXACT, seed=seeds):
+                sig = signature_of_outcome(traj.outcomes[0])
+                freq[sig] = freq.get(sig, 0) + 1
         assert set(freq) <= set(table)
         for sig, p in table.items():
             observed = freq.get(sig, 0) / n

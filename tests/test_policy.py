@@ -136,6 +136,13 @@ class TestFromRows:
         with pytest.raises(ValueError, match="one probability row per masked position"):
             ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]], positions=[0])
 
+    @pytest.mark.parametrize("positions", [[1, 0], [3, 3], [-1, 2]])
+    def test_positions_out_of_canvas_order_rejected(self, positions):
+        # Tie-breaks, EXACT's "rows above j*" rule and the next-state
+        # signatures all read rows in ascending canvas order.
+        with pytest.raises(ValueError, match=r"positions \[.*\] must be >= 0 and strictly"):
+            ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]], positions=positions)
+
 
 class TestBackward:
     def test_zero_upstream_leaves_grads_untouched(self):

@@ -117,6 +117,39 @@ class TestLogprobValues:
             logprob_ar(probs, outcome)
         with pytest.raises(DegenerateOutcomeError):
             logprob_unmasked(probs, outcome)
+        scorers = (step_logprob, lambda *args: step_logprob_upstream(*args)[0])
+        # A zero confidence on a kept row: every kind scores that row.
+        for score in scorers:
+            for kind in TransitionKind:
+                with pytest.raises(DegenerateOutcomeError):
+                    score(kind, probs, outcome)
+        # A zero confidence on a remasked row: only AR_STYLE scores it.  The
+        # row's other tokens lie below the kept 0.8, so EXACT's support mass is 1.
+        probs = ProbMatrix.from_rows([[0.8, 0.2, 0.0], [0.5, 0.5, 0.0]])
+        outcome = StepOutcome(
+            sampled=np.array([0, 2]),
+            confidences=np.array([0.8, 0.0]),
+            chosen=np.array([True, False]),
+            positions=probs.positions,
+        )
+        for score in scorers:
+            with pytest.raises(DegenerateOutcomeError):
+                score(TransitionKind.AR_STYLE, probs, outcome)
+            for kind in (TransitionKind.EXACT, TransitionKind.UNMASKED_ONLY):
+                assert score(kind, probs, outcome) == pytest.approx(np.log(0.8), abs=1e-12)
+        # No kept row: EXACT has no threshold, the other kinds stay defined.
+        probs = ProbMatrix.from_rows([[0.5, 0.5]])
+        outcome = StepOutcome(
+            sampled=np.array([0]),
+            confidences=np.array([0.5]),
+            chosen=np.array([False]),
+            positions=probs.positions,
+        )
+        for score in scorers:
+            with pytest.raises(ValueError, match="keep at least one position"):
+                score(TransitionKind.EXACT, probs, outcome)
+            assert score(TransitionKind.AR_STYLE, probs, outcome) == pytest.approx(np.log(0.5))
+            assert score(TransitionKind.UNMASKED_ONLY, probs, outcome) == 0.0
 
     def test_exact_zero_mass_below_threshold_guard(self):
         # The remasked row concentrates all mass on one token above the
@@ -251,9 +284,21 @@ class TestOrderingChain:
 class TestUpstreamGradients:
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_upstream_matches_value(self, kind, fixture_f):
-        value, upstream = step_logprob_upstream(kind, fixture_f, outcome_a(fixture_f))
-        assert value == step_logprob(kind, fixture_f, outcome_a(fixture_f))
-        assert upstream.shape == fixture_f.rows.shape
+        # Upstream rows for outcome_a and outcome_b.  AR_STYLE scores every
+        # row, one-hot at its sample; the other kinds put the one-hot on the
+        # kept rows, and on remasked rows EXACT puts its renormalised support
+        # and UNMASKED_ONLY zeros.
+        expected = {
+            TransitionKind.AR_STYLE: ([[1, 0], [1, 0]], [[1, 0], [0, 1]]),
+            TransitionKind.EXACT: ([[0.5, 0.5], [1, 0]], [[1, 0], [0, 1]]),
+            TransitionKind.UNMASKED_ONLY: ([[0, 0], [1, 0]], [[1, 0], [0, 0]]),
+        }[kind]
+        for make, rows in zip((outcome_a, outcome_b), expected):
+            outcome = make(fixture_f)
+            value, upstream = step_logprob_upstream(kind, fixture_f, outcome)
+            assert value == step_logprob(kind, fixture_f, outcome)
+            assert upstream.shape == fixture_f.rows.shape
+            np.testing.assert_array_equal(upstream, rows)
 
     def test_exact_upstream_rows(self, fixture_f):
         _, upstream = step_logprob_upstream(
