@@ -167,9 +167,12 @@ def kl_step(rows_new: np.ndarray, rows_ref: np.ndarray) -> float:
     rows_ref = np.asarray(rows_ref, dtype=np.float64)
     if rows_new.shape != rows_ref.shape:
         raise ValueError(f"row shapes differ: {rows_new.shape} vs {rows_ref.shape}")
+    return float(_kl_terms(rows_new, rows_ref).sum())
+
+
+def _kl_terms(rows_new: np.ndarray, rows_ref: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(rows_new > 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
-    return float(contrib.sum())
+        return np.where(rows_new > 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
 
 
 def active_steps(reduction: Reduction, total_steps: int) -> np.ndarray:
@@ -197,8 +200,10 @@ def grpo_loss_and_grad(
     minimising optimiser performs ascent.  Rollout-time log-probs ride with
     the trajectories.  All active steps of all groups go through one policy
     forward (plus one reference forward when the KL weight is positive) and
-    one backward.  ``compute_grad=False`` evaluates the objective only, for
-    finite-difference probes.
+    one backward, and the steps that share a shape (transition kind, masked
+    rows, kept rows) through one scoring call.  The recorded outcomes are
+    checked against the forward's rows once, here.  ``compute_grad=False``
+    evaluates the objective only, for finite-difference probes.
     """
     if config.kl_beta > 0.0 and ref_params is None:
         raise ValueError("reference parameters required when the KL weight is positive")
@@ -207,64 +212,105 @@ def grpo_loss_and_grad(
     for group in groups:
         n_traj = len(group.trajectories)
         for j, traj in enumerate(group.trajectories):
-            steps = active_steps(config.reduction, traj.total_steps)
-            norm = 1.0 / (len(groups) * n_traj * steps.size)
+            active = active_steps(config.reduction, traj.total_steps)
+            norm = 1.0 / (len(groups) * n_traj * active.size)
             adv = float(group.advantages[j])
-            terms += [(j, traj, int(t), adv, norm) for t in steps]
+            terms += [(j, traj, int(t), adv, norm) for t in active]
     if not terms:
         return 0.0, {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
+    owners, trajs, steps, advs, norms = zip(*terms)
     batch_inputs = (
-        [traj.states[t] for _, traj, t, _, _ in terms],
-        [traj.prompt for _, traj, _, _, _ in terms],
-        [traj.temperature for _, traj, _, _, _ in terms],
+        [traj.states[t] for traj, t in zip(trajs, steps)],
+        [traj.prompt for traj in trajs],
+        [traj.temperature for traj in trajs],
     )
     batch = policy_forward_batch(params, *batch_inputs)
     ref_batch = policy_forward_batch(ref_params, *batch_inputs) if config.kl_beta > 0.0 else None
-    back = np.zeros_like(batch.log_rows) if compute_grad else None
+    outcomes = [traj.outcomes[t] for traj, t in zip(trajs, steps)]
+    sampled = np.concatenate([o.sampled for o in outcomes])
+    chosen = np.concatenate([o.chosen for o in outcomes])
+    # The outcomes are checked here, once for the whole batch; the scorer
+    # trusts them.
+    start = np.asarray(batch.start)
+    sizes = np.diff(start)
+    if [o.positions.size for o in outcomes] != sizes.tolist():
+        raise ValueError("outcome does not belong to this probability matrix")
+    transition._check_consistent(
+        batch.positions,
+        params.arch.num_categories,
+        np.concatenate([o.positions for o in outcomes]),
+        sampled,
+    )
+    kept_counts = np.add.reduceat(chosen, start[:-1], dtype=np.int64)
+    # Terms that share the transition kind, the masked-row count and the keep
+    # count are scored by one call.  The grouped layout puts each such shape's
+    # rows in one contiguous block: its row r is row perm[r] of the batch.
+    shapes: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(zip([traj.kind for traj in trajs], sizes.tolist(), kept_counts.tolist())):
+        shapes.setdefault(shape, []).append(i)
+    order = np.concatenate(list(shapes.values()))
+    lengths = sizes[order]
+    offsets = np.cumsum(lengths) - lengths
+    perm = np.repeat(start[order] - offsets, lengths) + np.arange(lengths.sum())
+    rows, log_rows, positions = batch.rows[perm], batch.log_rows[perm], batch.positions[perm]
+    sampled_p, chosen_p = sampled[perm], chosen[perm]
+    upstream = np.zeros(rows.shape) if compute_grad else None
+    new_logp = np.empty(len(terms))
+    kl = np.zeros(len(terms))
+    if ref_batch is not None:
+        kept = chosen_p.nonzero()[0]
+        kl_rows = _kl_terms(rows[kept], ref_batch.rows[perm[kept]])
+    row = kept_row = 0
+    for (kind, m, s), members in shapes.items():
+        block = slice(row, row + m * len(members))
+        new_logp[members] = transition._score(
+            kind,
+            rows[block],
+            log_rows[block],
+            sampled_p[block],
+            chosen_p[block],
+            positions[block],
+            len(members),
+            out=None if upstream is None else upstream[block],
+        )
+        if ref_batch is not None:
+            member_kl = kl_rows[kept_row : kept_row + s * len(members)]
+            kl[members] = member_kl.reshape(len(members), -1).sum(axis=1)
+        row, kept_row = block.stop, kept_row + s * len(members)
+    ratio = np.exp(new_logp - [traj.old_logprobs[t] for traj, t in zip(trajs, steps)])
+    if not np.isfinite(ratio).all():
+        i = np.isfinite(ratio).argmin()
+        raise FloatingPointError(f"non-finite importance ratio at trajectory {owners[i]}, step {steps[i]}")
+    adv, norm = np.array(advs), np.array(norms)
+    lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, lo, hi) * adv
+    term = np.minimum(unclipped, clipped)
+    if ref_batch is not None:
+        term -= config.kl_beta * kl
     objective = 0.0
     ratio_sum = 0.0
-    clipped_count = 0
     kl_sum = 0.0
-    lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
-    for i, (j, traj, t, adv, norm) in enumerate(terms):
-        outcome = traj.outcomes[t]
-        probs = batch.probs(i)
-        if compute_grad:
-            new_logp, upstream = transition.step_logprob_upstream(traj.kind, probs, outcome)
-        else:
-            new_logp, upstream = transition.step_logprob(traj.kind, probs, outcome), None
-        ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
-        if not np.isfinite(ratio):
-            raise FloatingPointError(f"non-finite importance ratio at trajectory {j}, step {t}")
-        unclipped = ratio * adv
-        clipped = min(max(ratio, lo), hi) * adv
-        term = min(unclipped, clipped)
-        coef = adv * ratio if unclipped <= clipped else 0.0
-        kl = 0.0
-        if ref_batch is not None:
-            ref_probs = ref_batch.probs(i)
-            idx = np.flatnonzero(outcome.chosen)
-            kl = kl_step(probs.rows[idx], ref_probs.rows[idx])
-            term -= config.kl_beta * kl
-        objective += norm * term
-        ratio_sum += ratio
-        clipped_count += int(ratio < lo or ratio > hi)
-        kl_sum += kl
-        if not compute_grad:
-            continue
-        # Gradient of the negated objective, on this term's rows of the batch.
-        rows = back[batch.start[i] : batch.start[i + 1]]
-        rows[:] = (-norm * coef) * upstream
-        if ref_batch is not None:
-            rows[idx] += (norm * config.kl_beta) * (
-                probs.rows[idx] * (probs.log_rows[idx] - ref_probs.log_rows[idx])
-            )
+    # Summed one term at a time in term order: a vectorised sum rounds differently.
+    for x, r, d in zip((norm * term).tolist(), ratio.tolist(), kl.tolist()):
+        objective += x
+        ratio_sum += r
+        kl_sum += d
     if compute_grad:
+        # Gradient of the negated objective, on each term's rows of the batch.
+        coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
+        back = np.empty_like(batch.log_rows)
+        back[perm] = np.repeat((-norm * coef)[order], lengths)[:, None] * upstream
+        if ref_batch is not None:
+            kept = chosen.nonzero()[0]
+            back[kept] += np.repeat(norm * config.kl_beta, kept_counts)[:, None] * (
+                batch.rows[kept] * (batch.log_rows[kept] - ref_batch.log_rows[kept])
+            )
         policy_backward(params, batch, back)
     total_terms = len(terms)
     stats = {
         "mean_ratio": ratio_sum / total_terms,
-        "clip_frac": clipped_count / total_terms,
+        "clip_frac": int(np.count_nonzero((ratio < lo) | (ratio > hi))) / total_terms,
         "mean_kl": kl_sum / total_terms,
     }
     return objective, stats
@@ -454,7 +500,10 @@ def train(
         )
         for _ in range(config.inner_epochs):
             params.zero_grads()
-            objective, stats = grpo_loss_and_grad([group], params, ref_params, config)
+            try:
+                objective, stats = grpo_loss_and_grad([group], params, ref_params, config)
+            except FloatingPointError as err:
+                raise FloatingPointError(f"iteration {it}: {err}") from err
             grad_norm = float(np.linalg.norm(params.grads))
             adam_step(params, opt, config)
 

@@ -8,7 +8,9 @@ deterministic function of the confidences.
 
 Given the prediction rows for the masked positions and one step's outcome,
 one function, ``_score``, gives the log-probability of the move to the next
-canvas under all three definitions:
+canvas under all three definitions; it scores a stack of steps of one shape
+at once (a decode step of a whole group, or the loss pass's terms), and a
+single step is the stack of one:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
@@ -93,17 +95,17 @@ def cam_select(confidences, num_to_keep: int) -> np.ndarray:
     """Boolean keep-mask for the ``num_to_keep`` most confident rows.
 
     Ties are broken toward the lowest index, making the selection a total
-    order even on degenerate (equal-confidence) inputs.
+    order even on degenerate (equal-confidence) inputs.  Stacked
+    confidences ``(G, M)`` select within each member's last axis.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
-    if num_to_keep > confidences.size:
+    if num_to_keep > confidences.shape[-1]:
         raise ValueError(
-            f"cannot keep {num_to_keep} of {confidences.size} candidates"
+            f"cannot keep {num_to_keep} of {confidences.shape[-1]} candidates"
         )
-    order = np.argsort(-confidences, kind="stable")
-    chosen = np.zeros(confidences.size, dtype=bool)
-    chosen[order[:num_to_keep]] = True
-    return chosen
+    order = np.argsort(-confidences, axis=-1, kind="stable")
+    # Inverting the permutation gives each row its rank in the keep order.
+    return order.argsort(axis=-1) < num_to_keep
 
 
 class TransitionKind(enum.Enum):
@@ -121,71 +123,100 @@ class DegenerateOutcomeError(ValueError):
     """
 
 
-def _check_consistent(probs: ProbMatrix, outcome: StepOutcome) -> None:
-    if not np.array_equal(probs.positions, outcome.positions):
+def _check_consistent(positions, num_categories, outcome_positions, sampled) -> None:
+    if positions.shape != outcome_positions.shape or (positions != outcome_positions).any():
         raise ValueError("outcome does not belong to this probability matrix")
-    if ((outcome.sampled < 0) | (outcome.sampled >= probs.num_categories)).any():
+    if ((sampled < 0) | (sampled >= num_categories)).any():
         raise ValueError("sampled token out of range")
 
 
-def _score(kind: TransitionKind, probs: ProbMatrix, outcome: StepOutcome):
-    """Log-probability, the scored rows (all for ``AR_STYLE``, else the kept
-    ones) and, for ``EXACT`` only, each remasked row's probabilities on its
-    support with zeros elsewhere."""
-    _check_consistent(probs, outcome)
+def _score(
+    kind: TransitionKind, rows, log_rows, sampled, chosen, positions, members: int = 1, out=None
+) -> np.ndarray:
+    """Log-probabilities of ``members`` steps of one shape, scored at once.
+
+    The steps are stacked as in a :class:`~maskgrpo.policy.PolicyBatch`: each
+    member owns ``M`` consecutive rows of ``rows``/``log_rows`` (``(B*M, K)``)
+    and of ``sampled``, ``chosen`` and ``positions`` (``(B*M,)``), and every
+    member keeps the same number of its rows.  Returns the ``(B,)`` values.
+    With ``out`` (zeros shaped like ``rows``), also writes each step's
+    upstream there: a one-hot at every scored row's sample (all rows for
+    ``AR_STYLE``, the kept ones otherwise) and, for ``EXACT``, each remasked
+    row's probabilities on its support divided by the support's mass.  The
+    caller has checked that the outcomes belong to the rows.
+    """
+    k = rows.shape[1]
     if kind is TransitionKind.AR_STYLE:
-        scored = np.arange(probs.num_rows)
+        scored, tokens = np.arange(sampled.size), sampled
     else:
-        scored = np.flatnonzero(outcome.chosen)
+        scored = chosen.nonzero()[0]
         if kind is TransitionKind.EXACT and scored.size == 0:
             raise ValueError("a step must keep at least one position")
-    tokens = outcome.sampled[scored]
-    cs = probs.rows[scored, tokens]
-    if (cs == 0.0).any():
+        tokens = sampled[scored]
+    flat = scored * k + tokens
+    cs = rows.take(flat)
+    if not cs.all():
         raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
-    total = float(probs.log_rows[scored, tokens].sum())
+    values = log_rows.take(flat).reshape(members, -1).sum(axis=1)
+    if out is not None:
+        out.put(flat, 1.0)
     if kind is not TransitionKind.EXACT:
-        return total, scored, None
-    min_cs = cs.min()
-    remasked = ~outcome.chosen
-    rows = probs.rows[remasked]
-    inside = rows < min_cs
-    tied = rows == min_cs
+        return values
+    cs = cs.reshape(members, -1)
+    min_cs = np.minimum.reduce(cs, axis=1)
+    remasked = (~chosen).nonzero()[0]
+    if remasked.size == 0:
+        return values
+    rem = rows.take(remasked, axis=0).reshape(members, -1, k)
+    threshold = min_cs[:, None, None]
+    inside = rem < threshold
+    tied = rem == threshold
     if tied.any():
         # A tied sample at a row above the last kept row holding ``min_cs``
         # loses the lowest-index tie-break, so it is remasked too.
-        above = np.flatnonzero(remasked) > scored[cs == min_cs][-1]
-        inside |= tied & above[:, None]
-    support = np.where(inside, rows, 0.0)
-    if support.size:
-        mass = support.sum(axis=1)
-        if (mass <= 0.0).any():
-            bad = probs.positions[remasked][mass <= 0.0]
-            raise DegenerateOutcomeError(
-                f"remasked positions {bad.tolist()} have no token mass "
-                f"that ranks below the selection threshold {min_cs!r}"
-            )
-        total += float(np.log(mass).sum())
-    return total, scored, support
+        last = np.where(cs == min_cs[:, None], scored.reshape(members, -1), -1).max(axis=1)
+        above = remasked.reshape(members, -1) > last[:, None]
+        inside |= tied & above[:, :, None]
+    support = np.where(inside, rem, 0.0)
+    mass = support.sum(axis=2)
+    if not mass.all():
+        empty = mass <= 0.0
+        b = empty.any(axis=1).argmax()
+        bad = positions[remasked.reshape(members, -1)[b][empty[b]]]
+        raise DegenerateOutcomeError(
+            f"remasked positions {bad.tolist()} have no token mass "
+            f"that ranks below the selection threshold {min_cs[b]!r}"
+        )
+    values += np.log(mass).sum(axis=1)
+    if out is not None:
+        out[remasked] = (support / mass[:, :, None]).reshape(-1, k)
+    return values
+
+
+def _score_one(kind, probs: ProbMatrix, outcome: StepOutcome, out=None) -> float:
+    _check_consistent(probs.positions, probs.num_categories, outcome.positions, outcome.sampled)
+    return _score(
+        kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions, out=out
+    ).item()
 
 
 def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome) -> float:
-    return _score(kind, probs, outcome)[0]
+    return _score_one(kind, probs, outcome)
 
 
 def logprob_ar(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Sum of log confidences over all masked positions."""
-    return _score(TransitionKind.AR_STYLE, probs, outcome)[0]
+    return _score_one(TransitionKind.AR_STYLE, probs, outcome)
 
 
 def logprob_exact(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Kept confidences times the support mass at each remasked position."""
-    return _score(TransitionKind.EXACT, probs, outcome)[0]
+    return _score_one(TransitionKind.EXACT, probs, outcome)
 
 
 def logprob_unmasked(probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Sum of log confidences over the kept positions only."""
-    return _score(TransitionKind.UNMASKED_ONLY, probs, outcome)[0]
+    return _score_one(TransitionKind.UNMASKED_ONLY, probs, outcome)
 
 
 def step_logprob_upstream(
@@ -199,12 +230,8 @@ def step_logprob_upstream(
     row's probability mass restricted to its support, renormalised by that
     support's total mass (sets held locally constant, see module docstring).
     """
-    value, scored, support = _score(kind, probs, outcome)
     upstream = np.zeros(probs.rows.shape)
-    upstream[scored, outcome.sampled[scored]] = 1.0
-    if support is not None:
-        upstream[~outcome.chosen] = support / support.sum(axis=1, keepdims=True)
-    return value, upstream
+    return _score_one(kind, probs, outcome, out=upstream), upstream
 
 
 class NextState(NamedTuple):

@@ -25,8 +25,9 @@ from maskgrpo import (
     schedule_cosine,
     train,
 )
+from maskgrpo import grpo
 from maskgrpo.grpo import active_steps
-from maskgrpo.transition import step_logprob_upstream
+from maskgrpo.transition import StepOutcome, step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
 
 
@@ -252,6 +253,64 @@ class TestLossAndGrad:
         else:
             assert not got.any()
 
+    @pytest.mark.parametrize("compute_grad", [True, False])
+    def test_groups_of_different_kinds_in_one_pass(self, compute_grad):
+        # Steps of different kinds have different shapes and are scored by
+        # separate calls; each must still land on its own term.
+        exact, params, ref_params = two_prompt_groups(TransitionKind.EXACT)
+        ar, _, _ = two_prompt_groups(TransitionKind.AR_STYLE)
+        groups = [exact[0], ar[1]]
+        config = GrpoConfig(group_size=3, kl_beta=0.5)
+        params.zero_grads()
+        objective, stats = grpo_loss_and_grad(groups, params, ref_params, config, compute_grad=compute_grad)
+        got = params.grads.copy()
+        params.zero_grads()
+        want_objective, want_stats, want = per_state_loss_and_grad(groups, params, ref_params, config)
+        assert abs(objective - want_objective) <= 1e-12 * abs(want_objective)
+        for key, value in want_stats.items():
+            assert abs(stats[key] - value) <= 1e-12 * abs(value)
+        if compute_grad:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_outcome_of_another_step_is_refused(self):
+        group, params = frozen_group(seed=9, n=8, t=4, g=4)
+        config = GrpoConfig(group_size=4, seed=9)
+        a, b = group.trajectories[:2]
+        assert not np.array_equal(a.outcomes[2].positions, b.outcomes[2].positions)
+        # Another trajectory's outcome at the same step: same row count,
+        # other positions.
+        a.outcomes[2], b.outcomes[2] = b.outcomes[2], a.outcomes[2]
+        with pytest.raises(ValueError, match="does not belong"):
+            grpo_loss_and_grad([group], params, None, config)
+        a.outcomes[2], b.outcomes[2] = b.outcomes[2], a.outcomes[2]
+        grpo_loss_and_grad([group], params, None, config)
+        # Steps 1 and 2 re-cut so that together they list the right
+        # positions, but each one the wrong ones.
+        one, two = a.outcomes[1], a.outcomes[2]
+        cut = np.concatenate([one.positions, two.positions])
+        a.outcomes[1], a.outcomes[2] = (
+            StepOutcome(np.zeros(p.size, dtype=np.int64), np.ones(p.size), np.ones(p.size, dtype=bool), p)
+            for p in (cut[: one.positions.size + 1], cut[one.positions.size + 1 :])
+        )
+        with pytest.raises(ValueError, match="does not belong"):
+            grpo_loss_and_grad([group], params, None, config)
+        # The trajectory's own outcome of another step: another row count.
+        a.outcomes[1], a.outcomes[2] = one, a.outcomes[0]
+        with pytest.raises(ValueError, match="does not belong"):
+            grpo_loss_and_grad([group], params, None, config, compute_grad=False)
+
+    def test_sampled_token_out_of_range_is_refused(self):
+        group, params = frozen_group(seed=10, n=6, k=3, t=3, g=3)
+        config = GrpoConfig(group_size=3, seed=10)
+        traj = group.trajectories[2]
+        outcome = traj.outcomes[1]
+        sampled = outcome.sampled.copy()
+        sampled[np.flatnonzero(~outcome.chosen)[0]] = 3
+        traj.outcomes[1] = StepOutcome(sampled, outcome.confidences, outcome.chosen, outcome.positions)
+        for compute_grad in (True, False):
+            with pytest.raises(ValueError, match="sampled token out of range"):
+                grpo_loss_and_grad([group], params, None, config, compute_grad=compute_grad)
+
     def test_compute_subset_matches_restricted_full_objective(self):
         group, params = frozen_group(seed=7, n=8, t=4, g=3)
         full_cfg = GrpoConfig(group_size=3, seed=7)
@@ -362,6 +421,20 @@ class TestTrain:
         free = train(base).params.params
         tied = train(strong).params.params
         assert np.linalg.norm(tied - init.params) < np.linalg.norm(free - init.params)
+
+    def test_non_finite_ratio_names_the_iteration(self, monkeypatch):
+        decoded = []
+
+        def rollout_with_a_lost_old_logprob(*args, **kwargs):
+            trajs = rollout(*args, **kwargs)
+            decoded.append(trajs)
+            if len(decoded) == 3:
+                trajs[1].old_logprobs[2] = -np.inf
+            return trajs
+
+        monkeypatch.setattr(grpo, "rollout", rollout_with_a_lost_old_logprob)
+        with pytest.raises(FloatingPointError, match=r"^iteration 2: .*trajectory 1, step 2$"):
+            train(pattern_setup(iterations=5))
 
     def test_unmask_reduce_schedule_still_covers_canvas(self):
         setup = pattern_setup(iterations=2, reduction=Reduction.unmask_reduce(2))

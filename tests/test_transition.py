@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskgrpo import ProbMatrix, TransitionKind
+from maskgrpo import ProbMatrix, TransitionKind, transition
 from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.transition import (
     DegenerateOutcomeError,
@@ -339,3 +339,92 @@ class TestUpstreamGradients:
         rep = representative_outcome(fixture_f, sig)
         assert signature_of_outcome(rep) == sig
         assert logprob_exact(fixture_f, rep) == logprob_exact(fixture_f, outcome_b(fixture_f))
+
+
+def _member(rng, m, k, keep, rows_kind):
+    """One step of ``m`` masked rows over ``k`` tokens keeping ``keep`` rows.
+
+    ``random`` rows are smooth, ``tie`` rows are integer counts over a small
+    denominator with a remasked row holding a token exactly as likely as the
+    smallest kept confidence (as in the acceptance suite's tie fixture), and
+    ``saturated`` rows put all their mass on one token.
+    """
+    while True:
+        if rows_kind == "random":
+            raw = rng.gamma(1.0, 1.0, size=(m, k)) + 1e-6
+            rows = raw / raw.sum(axis=1, keepdims=True)
+        elif rows_kind == "tie":
+            denom = int(rng.integers(2, 7))
+            rows = rng.multinomial(denom, np.full(k, 1.0 / k), size=m) / denom
+        else:
+            rows = np.eye(k)[rng.integers(0, k, size=m)]
+        positions = np.sort(rng.choice(3 * m, size=m, replace=False))
+        probs = ProbMatrix.from_rows(rows, positions)
+        sampled, confs = sample_step(probs, rng)
+        outcome = StepOutcome(sampled, confs, cam_select(confs, keep), probs.positions)
+        if rows_kind != "tie" or np.any(rows[~outcome.chosen] == confs[outcome.chosen].min()):
+            return probs, outcome
+
+
+def _score_stack(kind, members, out=None):
+    """Score ``members`` (pairs of matrix and outcome) in one stacked call."""
+    probs, outcomes = zip(*members)
+    return transition._score(
+        kind,
+        np.concatenate([p.rows for p in probs]),
+        np.concatenate([p.log_rows for p in probs]),
+        np.concatenate([o.sampled for o in outcomes]),
+        np.concatenate([o.chosen for o in outcomes]),
+        np.concatenate([p.positions for p in probs]),
+        len(members),
+        out=out,
+    )
+
+
+class TestStackedScorer:
+    @pytest.mark.parametrize("rows_kind", ["random", "tie", "saturated"])
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_one_stacked_call_equals_separate_calls(self, kind, rows_kind):
+        rng = rng_for_stream(31)
+        for _ in range(40):
+            m, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            keep = int(rng.integers(1, m))
+            members = [_member(rng, m, k, keep, rows_kind) for _ in range(int(rng.integers(1, 6)))]
+            upstream = np.zeros((m * len(members), k))
+            values = _score_stack(kind, members, out=upstream)
+            assert values.shape == (len(members),)
+            for b, (probs, outcome) in enumerate(members):
+                value, want = step_logprob_upstream(kind, probs, outcome)
+                assert values[b].tobytes() == np.float64(value).tobytes()
+                assert step_logprob(kind, probs, outcome) == value
+                assert upstream[b * m : (b + 1) * m].tobytes() == want.tobytes()
+
+    def test_a_degenerate_member_raises_as_it_does_alone(self):
+        rng = rng_for_stream(32)
+        healthy = [_member(rng, 3, 3, 1, "random") for _ in range(2)]
+        # A kept row whose sampled token has probability zero.
+        probs = ProbMatrix.from_rows([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]])
+        zero_kept = StepOutcome(
+            np.array([2, 0, 0]), np.array([0.0, 0.2, 0.4]), np.array([True, False, False]), probs.positions
+        )
+        # A remasked row with all its mass above the kept confidence.
+        probs_mass = ProbMatrix.from_rows([[0.4, 0.6, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        no_mass = StepOutcome(
+            np.array([1, 0, 2]), np.array([0.6, 1.0, 0.5]), np.array([True, False, False]), probs_mass.positions
+        )
+        cases = [
+            (kind, (probs, zero_kept), DegenerateOutcomeError) for kind in TransitionKind
+        ] + [(TransitionKind.EXACT, (probs_mass, no_mass), DegenerateOutcomeError)]
+        for kind, bad, error in cases:
+            with pytest.raises(error):
+                step_logprob_upstream(kind, *bad)
+            with pytest.raises(error):
+                _score_stack(kind, [healthy[0], bad, healthy[1]], out=np.zeros((9, 3)))
+            with pytest.raises(error):
+                _score_stack(kind, [healthy[0], bad, healthy[1]])
+        # No member keeps a row: EXACT has no threshold, alone or stacked.
+        empty = [_member(rng, 2, 2, 0, "random") for _ in range(3)]
+        with pytest.raises(ValueError, match="keep at least one position"):
+            step_logprob(TransitionKind.EXACT, *empty[0])
+        with pytest.raises(ValueError, match="keep at least one position"):
+            _score_stack(TransitionKind.EXACT, empty)
