@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import transition
-from .canvas import CanvasState, Prompt, UnmaskSchedule
-from .policy import PolicyParams, ProbMatrix, _forward, _check_inputs
+from .canvas import CanvasState, Prompt, UnmaskSchedule, apply_step
+from .policy import PolicyParams, ProbMatrix, policy_forward_batch
 from .transition import StepOutcome, cam_select
 
 __all__ = [
@@ -31,24 +31,6 @@ __all__ = [
 def rng_for_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based stream split: one independent generator per (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(stream)) & ((1 << 128) - 1)))
-
-
-def _stream_uniforms(seeds: Sequence[int], count: int) -> np.ndarray:
-    """Row ``j`` holds the first ``count`` draws of ``rng_for_stream(seeds[j]).random``.
-
-    One generator is re-keyed from seed to seed with the state of a fresh
-    one, because building a Philox generator costs several times what
-    setting its state does.
-    """
-    out = np.empty((len(seeds), count))
-    rng = rng_for_stream(seeds[0])
-    fresh = rng.bit_generator.state
-    for row, seed in zip(out, seeds):
-        key = int(seed) & ((1 << 128) - 1)
-        fresh["state"]["key"] = np.array([key & ((1 << 64) - 1), key >> 64], dtype=np.uint64)
-        rng.bit_generator.state = fresh
-        rng.random(out=row)
-    return out
 
 
 @dataclass
@@ -79,18 +61,16 @@ class Trajectory:
 
 def sample_step(probs: ProbMatrix, rng: np.random.Generator):
     """Sample every row independently; confidence is the sampled token's probability."""
-    return _sample(probs.rows, rng.random(probs.num_rows))
-
-
-def _sample(rows: np.ndarray, u: np.ndarray):
-    """Inverse-CDF samples of the rows ``(R, K)`` from one uniform each."""
-    k = rows.shape[1]
+    rows = probs.rows
+    m, k = rows.shape
+    u = rng.random(m)
     cum = np.cumsum(rows, axis=1)
     # u is scaled by the row total so slightly-under-1 sums stay unbiased; the
     # >= keeps zero-probability tokens unreachable and the clamp guards the
     # top edge.  Never samples the mask category (rows have width K).
     sampled = np.minimum((u[:, None] * cum[:, -1:] >= cum).sum(axis=1), k - 1)
-    return sampled, rows[np.arange(rows.shape[0]), sampled]
+    confidences = rows[np.arange(m), sampled]
+    return sampled.astype(np.int64), confidences
 
 
 def draw_outcome(probs: ProbMatrix, rng: np.random.Generator, num_to_keep: int) -> StepOutcome:
@@ -112,52 +92,37 @@ def rollout(
 
     An integer ``seed`` decodes one canvas and returns its ``Trajectory``.  A
     sequence of seeds decodes a group, one canvas per seed, and returns their
-    trajectories in order.  The members share the schedule, so at every step
-    they hold the same number of masked rows, and the step runs once for the
-    whole group on stacked arrays: one policy forward, one sampling, one
-    selection, one scoring and one canvas update.  Each member draws its
-    uniforms from its own seed's stream, so member ``j`` is the rollout of
-    ``seed[j]`` alone.
+    trajectories in order: every step runs one policy forward for the whole
+    group, and each member samples from its own seed's stream, so member
+    ``j`` is the rollout of ``seed[j]`` alone.
     """
     arch = params.arch
     if schedule.total_tokens != arch.length:
         raise ValueError("schedule does not cover the canvas")
-    _check_inputs(arch, [prompt], [temperature])
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
-    if not seeds:
-        raise ValueError("at least one seed required")
-    size, k = len(seeds), arch.num_categories
-    # Each member draws one uniform per masked row per step from its own
-    # stream; drawing them all at once gives the same numbers.
-    rows_per_step = arch.length - np.cumsum((0,) + schedule.counts[:-1])
-    uniforms = _stream_uniforms(seeds, int(rows_per_step.sum()))
-    temperatures = np.full(size, float(temperature))
-    # canvases[t] holds every member's tokens before step t.
-    canvases = np.full((schedule.total_steps + 1, size, arch.length), k, dtype=np.int64)
-    steps = []
+    size = len(seeds)
+    rngs = [rng_for_stream(s) for s in seeds]
+    blank = CanvasState.all_masked(arch.length, arch.num_categories)
+    states = [[blank] for _ in seeds]
+    outcomes: list[list[StepOutcome]] = [[] for _ in seeds]
     old_logprobs = np.zeros((size, schedule.total_steps))
-    used = 0
-    for t, (n_t, m) in enumerate(zip(schedule.counts, rows_per_step.tolist())):
-        batch = _forward(params, canvases[t], prompt.embedding, temperatures)
-        sampled, confidences = _sample(batch.rows, uniforms[:, used : used + m].reshape(-1))
-        used += m
-        chosen = cam_select(confidences.reshape(size, m), n_t).reshape(-1)
-        old_logprobs[:, t] = transition._score(
-            kind, batch.rows, batch.log_rows, sampled, chosen, batch.positions, size
+    for t, n_t in enumerate(schedule.counts):
+        batch = policy_forward_batch(
+            params, [member[-1] for member in states], [prompt] * size, [temperature] * size
         )
-        kept = chosen.nonzero()[0]
-        canvases[t + 1] = canvases[t]
-        canvases[t + 1].reshape(-1)[batch.index[kept]] = sampled[kept]
-        steps.append([a.reshape(size, m) for a in (sampled, confidences, chosen, batch.positions)])
-    flags = canvases == k
+        for b, rng in enumerate(rngs):
+            probs = batch.probs(b)
+            outcome = draw_outcome(probs, rng, n_t)
+            old_logprobs[b, t] = transition.step_logprob(kind, probs, outcome)
+            states[b].append(
+                apply_step(states[b][-1], outcome.chosen_positions(), outcome.chosen_values())
+            )
+            outcomes[b].append(outcome)
     trajectories = [
         Trajectory(
-            states=[
-                CanvasState(canvases[t, b], flags[t, b], k, t)
-                for t in range(schedule.total_steps + 1)
-            ],
-            outcomes=[StepOutcome(*(a[b] for a in step)) for step in steps],
+            states=states[b],
+            outcomes=outcomes[b],
             old_logprobs=old_logprobs[b],
             prompt=prompt,
             kind=kind,

@@ -11,7 +11,6 @@ fallback-accept keeps the trainer making progress.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -64,24 +63,9 @@ def threshold(history: StdHistory) -> float | None:
     if len(history) < history.warmup_min:
         return None
     if history._cutoff is None:
-        history._cutoff = _percentile(np.fromiter(history.values, dtype=np.float64), history.percentile)
+        values = np.fromiter(history.values, dtype=np.float64)
+        history._cutoff = float(np.percentile(values, history.percentile))
     return history._cutoff
-
-
-def _percentile(values: np.ndarray, q: float) -> float:
-    """``np.percentile(values, q)`` with its default linear method, bit for
-    bit, at a tenth of its call overhead: the same virtual index, neighbours
-    and two-sided interpolation, and NaN when ``values`` holds one."""
-    ordered = np.sort(values)
-    if np.isnan(ordered[-1]):
-        return float(ordered[-1])
-    last = ordered.size - 1
-    virtual = last * (q / 100)
-    # At or past the top, numpy takes the last value for both neighbours.
-    below = math.floor(virtual) if virtual < last else -1
-    a, b = ordered[below], ordered[below + 1 if below >= 0 else -1]
-    t = virtual - below
-    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def admit(history: StdHistory, group_std: float, resamples_used: int = 0) -> Decision:

@@ -208,45 +208,27 @@ def policy_forward_batch(
     Rows are a softmax of logits checked finite here, so need no row checks.
     """
     arch = params.arch
+    n, k = arch.length, arch.num_categories
     if not len(states) == len(prompts) == len(temperatures) > 0:
         raise ValueError("one prompt and one temperature per canvas required")
-    _check_inputs(arch, prompts, temperatures)
-    if any(s.length != arch.length or s.num_categories != arch.num_categories for s in states):
-        raise ValueError("canvas does not match policy architecture")
-    return _forward(
-        params,
-        np.array([s.tokens for s in states]),
-        np.array([p.embedding for p in prompts]),
-        np.asarray(temperatures, dtype=np.float64),
-    )
-
-
-def _check_inputs(arch: PolicyArch, prompts: Sequence[Prompt], temperatures: Sequence[float]) -> None:
-    """Refuse conditioning the policy cannot take: a temperature that is not
-    positive, or a prompt embedding of the wrong width."""
     if min(temperatures) <= 0.0:
         raise ValueError("temperature must be positive")
+    if any(s.length != n or s.num_categories != k for s in states):
+        raise ValueError("canvas does not match policy architecture")
     if any(p.embedding.size != arch.embed for p in prompts):
         raise ValueError("prompt embedding width does not match policy architecture")
-
-
-def _forward(params, tokens, embeddings, temperature) -> PolicyBatch:
-    """The body of :func:`policy_forward_batch` on a ``(B, N)`` token array,
-    prompt embeddings ``(B, embed)`` (or one ``(embed,)`` for all canvases)
-    and ``(B,)`` temperatures that already match the architecture; the mask
-    value ``K`` marks masked positions."""
-    arch = params.arch
-    n, k = arch.length, arch.num_categories
-    b = tokens.shape[0]
-    index = (tokens == k).ravel().nonzero()[0]
+    b = len(states)
+    index = np.concatenate([s.mask_flags for s in states]).nonzero()[0]
     start = index.searchsorted(np.arange(0, (b + 1) * n, n)).tolist()
     if any(lo == hi for lo, hi in zip(start, start[1:])):
         raise ValueError("no masked positions to predict")
+    tokens = np.array([s.tokens for s in states])
     x = np.zeros((b, arch.input_dim))
     x[np.arange(b)[:, None], np.arange(0, n * (k + 1), k + 1) + tokens] = 1.0
-    x[:, n * (k + 1) :] = embeddings
+    x[:, n * (k + 1) :] = [p.embedding for p in prompts]
     w1, b1, w2, b2 = params._views()
     h = np.tanh(x @ w1 + b1)
+    temperature = np.asarray(temperatures, dtype=np.float64)
     z = ((h @ w2 + b2) / temperature[:, None]).reshape(b * n, k)[index]
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits")

@@ -9,8 +9,8 @@ deterministic function of the confidences.
 Given the prediction rows for the masked positions and one step's outcome,
 one function, ``_score``, gives the log-probability of the move to the next
 canvas under all three definitions; it scores a stack of steps of one shape
-at once (a decode step of a whole group, or the loss pass's terms), and a
-single step is the stack of one:
+at once (the loss pass's terms that share a shape), and a single step is
+the stack of one:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
@@ -95,17 +95,17 @@ def cam_select(confidences, num_to_keep: int) -> np.ndarray:
     """Boolean keep-mask for the ``num_to_keep`` most confident rows.
 
     Ties are broken toward the lowest index, making the selection a total
-    order even on degenerate (equal-confidence) inputs.  Stacked
-    confidences ``(G, M)`` select within each member's last axis.
+    order even on degenerate (equal-confidence) inputs.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
-    if num_to_keep > confidences.shape[-1]:
+    if num_to_keep > confidences.size:
         raise ValueError(
-            f"cannot keep {num_to_keep} of {confidences.shape[-1]} candidates"
+            f"cannot keep {num_to_keep} of {confidences.size} candidates"
         )
-    order = np.argsort(-confidences, axis=-1, kind="stable")
-    # Inverting the permutation gives each row its rank in the keep order.
-    return order.argsort(axis=-1) < num_to_keep
+    order = np.argsort(-confidences, kind="stable")
+    chosen = np.zeros(confidences.size, dtype=bool)
+    chosen[order[:num_to_keep]] = True
+    return chosen
 
 
 class TransitionKind(enum.Enum):

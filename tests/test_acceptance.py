@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  The end-to-end criteria train real policies and take a few minutes.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -86,7 +85,7 @@ def tie_instances():
     return _tie_instances(250, seed=20240902)
 
 
-def _setup(seed, transition="exact", reduction="none", train_steps=0):
+def _train_run(seed, transition="exact", reduction="none", train_steps=0):
     cfg = ExperimentConfig(
         iterations=TRAIN_ITERATIONS,
         seed=seed,
@@ -95,10 +94,9 @@ def _setup(seed, transition="exact", reduction="none", train_steps=0):
         train_steps=train_steps,
         eval_rollouts=0,
     )
-    return cfg.train_setup()
-
-
-def _summary(result):
+    start = time.perf_counter()
+    result = grpo.train(cfg.train_setup())
+    elapsed = time.perf_counter() - start
     rewards = np.array([row["mean_reward"] for row in result.metrics])
     walls = np.array([row["wall_ms"] for row in result.metrics])
     return {
@@ -106,56 +104,8 @@ def _summary(result):
         "first": rewards[:20].mean(),
         "last": rewards[-20:].mean(),
         "mean_wall_ms": walls.mean(),
+        "elapsed_s": elapsed,
     }
-
-
-def _train_run(seed, transition="exact", reduction="none", train_steps=0):
-    setup = _setup(seed, transition, reduction, train_steps)
-    start = time.perf_counter()
-    result = grpo.train(setup)
-    return {**_summary(result), "elapsed_s": time.perf_counter() - start}
-
-
-def _train_in_turns(first, second, block=20, wait_s=120.0):
-    """Train two setups in one process, taking turns every ``block`` iterations.
-
-    Each run waits in its metrics callback, after its iteration's
-    ``wall_ms`` is taken, while the other runs, so both see the same host
-    speed to within a block of iterations.
-    """
-    turn = threading.Condition()
-    state = {"turn": 0, "done": [False, False]}
-    results = [None, None]
-
-    def run(me, setup):
-        def hand_over():
-            if not state["done"][1 - me]:
-                state["turn"] = 1 - me
-            turn.notify_all()
-
-        def on_metrics(row, params):
-            if (row["iter"] + 1) % block == 0:
-                with turn:
-                    hand_over()
-                    turn.wait_for(lambda: state["turn"] == me, timeout=wait_s)
-
-        with turn:
-            turn.wait_for(lambda: state["turn"] == me, timeout=wait_s)
-        try:
-            results[me] = _summary(grpo.train(setup, on_metrics=on_metrics))
-        finally:
-            with turn:
-                state["done"][me] = True
-                hand_over()
-
-    threads = [threading.Thread(target=run, args=args) for args in ((0, first), (1, second))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600.0)
-        assert not thread.is_alive()
-    assert None not in results
-    return results
 
 
 _train_cache = {}
@@ -277,13 +227,14 @@ def test_criterion_6_end_to_end_improvement():
 
 
 def test_criterion_7_unmask_reduction():
-    # Each seed's full-schedule and reduced runs take turns every 20
-    # iterations, so that the host's speed, which drifts within seconds on a
-    # shared machine, is the same on both sides of a ratio.
+    # Each seed's full-schedule and reduced runs are trained back to back,
+    # not taken from criterion 6's cache, so that host speed, which drifts
+    # over minutes on a shared machine, is about the same on both sides of
+    # a ratio.
     runs = [
-        _train_in_turns(
-            _setup(seed, transition="exact"),
-            _setup(seed, transition="exact", reduction="unmask", train_steps=4),
+        (
+            _train_run(seed, transition="exact"),
+            _train_run(seed, transition="exact", reduction="unmask", train_steps=4),
         )
         for seed in SEEDS
     ]
