@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,9 +33,10 @@ from .decoder import Trajectory, rollout
 from .policy import (
     PolicyArch,
     PolicyParams,
+    encode_batch,
+    forward_encoded,
     init_params,
     policy_backward,
-    policy_forward_batch,
 )
 from .rewards import RewardFn
 from .transition import TransitionKind
@@ -49,6 +51,7 @@ __all__ = [
     "METRICS_COLUMNS",
     "group_advantages",
     "kl_step",
+    "LossPass",
     "grpo_loss_and_grad",
     "adam_step",
     "evaluate",
@@ -121,18 +124,21 @@ class GrpoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.group_size < 2:
-            raise ValueError("group size must be at least 2")
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ValueError("clip epsilon must lie in (0, 1)")
-        if self.kl_beta < 0.0:
-            raise ValueError("KL weight must be nonnegative")
-        if self.inner_epochs < 1:
-            raise ValueError("inner epochs must be at least 1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.iterations < 0:
-            raise ValueError("iteration count must be nonnegative")
+        # Every comparison is false for NaN, so each check refuses it too.
+        for ok, name, rule in (
+            (self.group_size >= 2, "group_size", "be at least 2"),
+            (0.0 < self.clip_eps < 1.0, "clip_eps", "lie in (0, 1)"),
+            (0.0 <= self.kl_beta < math.inf, "kl_beta", "be finite and nonnegative"),
+            (self.inner_epochs >= 1, "inner_epochs", "be at least 1"),
+            (0.0 < self.learning_rate < math.inf, "learning_rate", "be finite and positive"),
+            (0.0 <= self.adam_beta1 < 1.0, "adam_beta1", "lie in [0, 1)"),
+            (0.0 <= self.adam_beta2 < 1.0, "adam_beta2", "lie in [0, 1)"),
+            (self.adam_eps > 0.0, "adam_eps", "be positive"),
+            (0.0 < self.temperature < math.inf, "temperature", "be finite and positive"),
+            (self.iterations >= 0, "iterations", "be nonnegative"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -184,6 +190,147 @@ def active_steps(reduction: Reduction, total_steps: int) -> np.ndarray:
     return np.arange(total_steps)
 
 
+class LossPass:
+    """The surrogate pass over one batch of groups, built once.
+
+    Each active step's log-probability is recomputed with the recorded samples
+    and keep/remask split held fixed; its ratio to the rollout-time value
+    enters the clipped surrogate.  The build does all that the parameters do
+    not change: terms, canvas encoding, outcome checks, grouping of the steps
+    by shape (kind, masked rows, kept rows) and the reference forward.
+    :meth:`evaluate` reads ``params.params`` afresh on every call.
+    """
+
+    def __init__(
+        self, groups: list[Group], arch: PolicyArch, ref_params: PolicyParams | None, config: GrpoConfig
+    ):
+        if config.kl_beta > 0.0 and ref_params is None:
+            raise ValueError("reference parameters required when the KL weight is positive")
+        self.config = config
+        # Every active (trajectory, step) of every group, scored in one batch.
+        terms = []
+        for group in groups:
+            n_traj = len(group.trajectories)
+            for j, traj in enumerate(group.trajectories):
+                active = active_steps(config.reduction, traj.total_steps)
+                norm = 1.0 / (len(groups) * n_traj * active.size)
+                adv = float(group.advantages[j])
+                terms += [(j, traj, int(t), adv, norm) for t in active]
+        self.size = len(terms)
+        if not terms:
+            return
+        self.owners, trajs, self.steps, advs, norms = zip(*terms)
+        self.adv, self.norm = np.array(advs), np.array(norms)
+        self.old_logp = [traj.old_logprobs[t] for traj, t in zip(trajs, self.steps)]
+        self.inputs = inputs = encode_batch(
+            arch,
+            [traj.states[t] for traj, t in zip(trajs, self.steps)],
+            [traj.prompt for traj in trajs],
+            [traj.temperature for traj in trajs],
+        )
+        ref_batch = forward_encoded(ref_params, inputs) if config.kl_beta > 0.0 else None
+        outcomes = [traj.outcomes[t] for traj, t in zip(trajs, self.steps)]
+        sampled = np.concatenate([o.sampled for o in outcomes])
+        chosen = np.concatenate([o.chosen for o in outcomes])
+        # The outcomes are checked here, once; the scorer trusts them.
+        start = np.asarray(inputs.start)
+        sizes = np.diff(start)
+        if [o.positions.size for o in outcomes] != sizes.tolist():
+            raise ValueError("outcome does not belong to this probability matrix")
+        transition._check_consistent(
+            inputs.positions,
+            arch.num_categories,
+            np.concatenate([o.positions for o in outcomes]),
+            sampled,
+        )
+        kept_counts = np.add.reduceat(chosen, start[:-1], dtype=np.int64)
+        # Terms of one shape are scored by one call.  The grouped layout puts
+        # each shape's rows in one contiguous block: its row r is row perm[r]
+        # of the batch.
+        self.shapes: dict[tuple, list[int]] = {}
+        for i, shape in enumerate(zip([traj.kind for traj in trajs], sizes.tolist(), kept_counts.tolist())):
+            self.shapes.setdefault(shape, []).append(i)
+        self.order = np.concatenate(list(self.shapes.values()))
+        self.lengths = sizes[self.order]
+        offsets = np.cumsum(self.lengths) - self.lengths
+        self.perm = np.repeat(start[self.order] - offsets, self.lengths) + np.arange(self.lengths.sum())
+        self.sampled_p, self.chosen_p = sampled[self.perm], chosen[self.perm]
+        self.positions_p = inputs.positions[self.perm]
+        if ref_batch is not None:
+            self.kept_p = self.chosen_p.nonzero()[0]
+            self.ref_rows_p = ref_batch.rows[self.perm[self.kept_p]]
+            self.kept = chosen.nonzero()[0]
+            self.ref_log_rows = ref_batch.log_rows[self.kept]
+            self.kl_coef = np.repeat(self.norm * config.kl_beta, kept_counts)[:, None]
+
+    def evaluate(self, params: PolicyParams, compute_grad: bool = True) -> tuple[float, dict]:
+        """Objective and statistics at ``params``, as :func:`grpo_loss_and_grad`."""
+        if not self.size:
+            return 0.0, {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
+        config, perm = self.config, self.perm
+        batch = forward_encoded(params, self.inputs)
+        rows, log_rows = batch.rows[perm], batch.log_rows[perm]
+        upstream = np.zeros(rows.shape) if compute_grad else None
+        new_logp = np.empty(self.size)
+        kl = np.zeros(self.size)
+        kl_weighted = config.kl_beta > 0.0
+        if kl_weighted:
+            kl_rows = _kl_terms(rows[self.kept_p], self.ref_rows_p)
+        row = kept_row = 0
+        for (kind, m, s), members in self.shapes.items():
+            block = slice(row, row + m * len(members))
+            new_logp[members] = transition._score(
+                kind,
+                rows[block],
+                log_rows[block],
+                self.sampled_p[block],
+                self.chosen_p[block],
+                self.positions_p[block],
+                len(members),
+                out=None if upstream is None else upstream[block],
+            )
+            if kl_weighted:
+                member_kl = kl_rows[kept_row : kept_row + s * len(members)]
+                kl[members] = member_kl.reshape(len(members), -1).sum(axis=1)
+            row, kept_row = block.stop, kept_row + s * len(members)
+        ratio = np.exp(new_logp - self.old_logp)
+        if not np.isfinite(ratio).all():
+            i = np.isfinite(ratio).argmin()
+            raise FloatingPointError(
+                f"non-finite importance ratio at trajectory {self.owners[i]}, step {self.steps[i]}"
+            )
+        adv, norm = self.adv, self.norm
+        lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
+        unclipped = ratio * adv
+        clipped = np.clip(ratio, lo, hi) * adv
+        term = np.minimum(unclipped, clipped)
+        if kl_weighted:
+            term -= config.kl_beta * kl
+        objective = 0.0
+        ratio_sum = 0.0
+        kl_sum = 0.0
+        # Summed one term at a time in term order: a vectorised sum rounds differently.
+        for x, r, d in zip((norm * term).tolist(), ratio.tolist(), kl.tolist()):
+            objective += x
+            ratio_sum += r
+            kl_sum += d
+        if compute_grad:
+            # Gradient of the negated objective, on each term's rows of the batch.
+            coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
+            back = np.empty_like(batch.log_rows)
+            back[perm] = np.repeat((-norm * coef)[self.order], self.lengths)[:, None] * upstream
+            if kl_weighted:
+                kept = self.kept
+                back[kept] += self.kl_coef * (batch.rows[kept] * (batch.log_rows[kept] - self.ref_log_rows))
+            policy_backward(params, batch, back)
+        stats = {
+            "mean_ratio": ratio_sum / self.size,
+            "clip_frac": int(np.count_nonzero((ratio < lo) | (ratio > hi))) / self.size,
+            "mean_kl": kl_sum / self.size,
+        }
+        return objective, stats
+
+
 def grpo_loss_and_grad(
     groups: list[Group],
     params: PolicyParams,
@@ -193,127 +340,12 @@ def grpo_loss_and_grad(
 ) -> tuple[float, dict]:
     """Surrogate objective and its gradient, accumulated into ``params.grads``.
 
-    For every active step the step log-probability is recomputed under the
-    current parameters with the recorded samples and keep/remask split held
-    fixed; the ratio against the rollout-time value enters the clipped
-    surrogate.  The accumulated gradient is of the negated objective so a
-    minimising optimiser performs ascent.  Rollout-time log-probs ride with
-    the trajectories.  All active steps of all groups go through one policy
-    forward (plus one reference forward when the KL weight is positive) and
-    one backward, and the steps that share a shape (transition kind, masked
-    rows, kept rows) through one scoring call.  The recorded outcomes are
-    checked against the forward's rows once, here.  ``compute_grad=False``
-    evaluates the objective only, for finite-difference probes.
+    The gradient is of the negated objective, so a minimising optimiser
+    ascends; ``compute_grad=False`` evaluates the objective only.  One
+    :class:`LossPass` build and evaluation: to evaluate one batch at many
+    parameters (finite-difference probes, inner epochs), build the pass once.
     """
-    if config.kl_beta > 0.0 and ref_params is None:
-        raise ValueError("reference parameters required when the KL weight is positive")
-    # Every active (trajectory, step) of every group, scored in one batch.
-    terms = []
-    for group in groups:
-        n_traj = len(group.trajectories)
-        for j, traj in enumerate(group.trajectories):
-            active = active_steps(config.reduction, traj.total_steps)
-            norm = 1.0 / (len(groups) * n_traj * active.size)
-            adv = float(group.advantages[j])
-            terms += [(j, traj, int(t), adv, norm) for t in active]
-    if not terms:
-        return 0.0, {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
-    owners, trajs, steps, advs, norms = zip(*terms)
-    batch_inputs = (
-        [traj.states[t] for traj, t in zip(trajs, steps)],
-        [traj.prompt for traj in trajs],
-        [traj.temperature for traj in trajs],
-    )
-    batch = policy_forward_batch(params, *batch_inputs)
-    ref_batch = policy_forward_batch(ref_params, *batch_inputs) if config.kl_beta > 0.0 else None
-    outcomes = [traj.outcomes[t] for traj, t in zip(trajs, steps)]
-    sampled = np.concatenate([o.sampled for o in outcomes])
-    chosen = np.concatenate([o.chosen for o in outcomes])
-    # The outcomes are checked here, once for the whole batch; the scorer
-    # trusts them.
-    start = np.asarray(batch.start)
-    sizes = np.diff(start)
-    if [o.positions.size for o in outcomes] != sizes.tolist():
-        raise ValueError("outcome does not belong to this probability matrix")
-    transition._check_consistent(
-        batch.positions,
-        params.arch.num_categories,
-        np.concatenate([o.positions for o in outcomes]),
-        sampled,
-    )
-    kept_counts = np.add.reduceat(chosen, start[:-1], dtype=np.int64)
-    # Terms that share the transition kind, the masked-row count and the keep
-    # count are scored by one call.  The grouped layout puts each such shape's
-    # rows in one contiguous block: its row r is row perm[r] of the batch.
-    shapes: dict[tuple, list[int]] = {}
-    for i, shape in enumerate(zip([traj.kind for traj in trajs], sizes.tolist(), kept_counts.tolist())):
-        shapes.setdefault(shape, []).append(i)
-    order = np.concatenate(list(shapes.values()))
-    lengths = sizes[order]
-    offsets = np.cumsum(lengths) - lengths
-    perm = np.repeat(start[order] - offsets, lengths) + np.arange(lengths.sum())
-    rows, log_rows, positions = batch.rows[perm], batch.log_rows[perm], batch.positions[perm]
-    sampled_p, chosen_p = sampled[perm], chosen[perm]
-    upstream = np.zeros(rows.shape) if compute_grad else None
-    new_logp = np.empty(len(terms))
-    kl = np.zeros(len(terms))
-    if ref_batch is not None:
-        kept = chosen_p.nonzero()[0]
-        kl_rows = _kl_terms(rows[kept], ref_batch.rows[perm[kept]])
-    row = kept_row = 0
-    for (kind, m, s), members in shapes.items():
-        block = slice(row, row + m * len(members))
-        new_logp[members] = transition._score(
-            kind,
-            rows[block],
-            log_rows[block],
-            sampled_p[block],
-            chosen_p[block],
-            positions[block],
-            len(members),
-            out=None if upstream is None else upstream[block],
-        )
-        if ref_batch is not None:
-            member_kl = kl_rows[kept_row : kept_row + s * len(members)]
-            kl[members] = member_kl.reshape(len(members), -1).sum(axis=1)
-        row, kept_row = block.stop, kept_row + s * len(members)
-    ratio = np.exp(new_logp - [traj.old_logprobs[t] for traj, t in zip(trajs, steps)])
-    if not np.isfinite(ratio).all():
-        i = np.isfinite(ratio).argmin()
-        raise FloatingPointError(f"non-finite importance ratio at trajectory {owners[i]}, step {steps[i]}")
-    adv, norm = np.array(advs), np.array(norms)
-    lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, lo, hi) * adv
-    term = np.minimum(unclipped, clipped)
-    if ref_batch is not None:
-        term -= config.kl_beta * kl
-    objective = 0.0
-    ratio_sum = 0.0
-    kl_sum = 0.0
-    # Summed one term at a time in term order: a vectorised sum rounds differently.
-    for x, r, d in zip((norm * term).tolist(), ratio.tolist(), kl.tolist()):
-        objective += x
-        ratio_sum += r
-        kl_sum += d
-    if compute_grad:
-        # Gradient of the negated objective, on each term's rows of the batch.
-        coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
-        back = np.empty_like(batch.log_rows)
-        back[perm] = np.repeat((-norm * coef)[order], lengths)[:, None] * upstream
-        if ref_batch is not None:
-            kept = chosen.nonzero()[0]
-            back[kept] += np.repeat(norm * config.kl_beta, kept_counts)[:, None] * (
-                batch.rows[kept] * (batch.log_rows[kept] - ref_batch.log_rows[kept])
-            )
-        policy_backward(params, batch, back)
-    total_terms = len(terms)
-    stats = {
-        "mean_ratio": ratio_sum / total_terms,
-        "clip_frac": int(np.count_nonzero((ratio < lo) | (ratio > hi))) / total_terms,
-        "mean_kl": kl_sum / total_terms,
-    }
-    return objective, stats
+    return LossPass(groups, params.arch, ref_params, config).evaluate(params, compute_grad)
 
 
 @dataclass
@@ -498,10 +530,11 @@ def train(
             advantages=advantages,
             degenerate=degenerate,
         )
+        loss = LossPass([group], params.arch, ref_params, config)
         for _ in range(config.inner_epochs):
             params.zero_grads()
             try:
-                objective, stats = grpo_loss_and_grad([group], params, ref_params, config)
+                objective, stats = loss.evaluate(params)
             except FloatingPointError as err:
                 raise FloatingPointError(f"iteration {it}: {err}") from err
             grad_norm = float(np.linalg.norm(params.grads))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import operator
 import os
 import sys
 from collections import Counter
@@ -28,11 +29,12 @@ from .policy import (
     CheckpointError,
     PolicyArch,
     PolicyParams,
+    encode_batch,
+    forward_encoded,
     init_params,
     load_checkpoint,
     policy_backward,
     policy_forward,
-    policy_forward_batch,
     save_checkpoint,
 )
 from .rewards import reward_fn_for
@@ -358,6 +360,14 @@ def cmd_sample(
     return 0
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def _within_bounds(report) -> bool:
+    """True when every bounded quantity of ``report.checks()`` holds."""
+    return all(rel is None or _RELATIONS[rel](value, bound) for _, value, rel, bound in report.checks())
+
+
 class VerifyReport(NamedTuple):
     trials: int
     worst_oracle_diff: float
@@ -365,14 +375,16 @@ class VerifyReport(NamedTuple):
     worst_model_sum_diff: float
     ordering_violations: int
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.worst_oracle_diff < 1e-10
-            and self.worst_enum_sum_diff < 1e-10
-            and self.worst_model_sum_diff < 1e-10
-            and self.ordering_violations == 0
-        )
+    passed = property(_within_bounds)
+
+    def checks(self) -> list[tuple]:
+        """(label, value, relation, bound) of each reported quantity."""
+        return [
+            ("worst |closed-form - enumeration|", self.worst_oracle_diff, "<", 1e-10),
+            ("worst |sum(enumeration) - 1|", self.worst_enum_sum_diff, "<", 1e-10),
+            ("worst |sum(closed-form) - 1|", self.worst_model_sum_diff, "<", 1e-10),
+            ("ordering violations", self.ordering_violations, "==", 0),
+        ]
 
 
 def _random_prob_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -429,9 +441,14 @@ class GradcheckReport(NamedTuple):
     worst_abs_err: float
     clip_fraction: float
 
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_err < 1e-4
+    passed = property(_within_bounds)
+
+    def checks(self) -> list[tuple]:
+        return [
+            ("worst per-coordinate error", self.worst_rel_err, "<", 1e-4),
+            ("worst absolute difference (error 0 up to 1e-8)", self.worst_abs_err, None, None),
+            ("fraction of surrogate terms clipped", self.clip_fraction, None, None),
+        ]
 
 
 def _grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, float]:
@@ -522,16 +539,15 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
     for kind in TransitionKind:
         for _ in range(trials):
             params, state, prompt, temperature, outcome = _random_logprob_instance(rng)
-            batch = policy_forward_batch(params, [state], [prompt], [temperature])
+            inputs = encode_batch(params.arch, [state], [prompt], [temperature])
+            batch = forward_encoded(params, inputs)
             _, upstream = transition.step_logprob_upstream(kind, batch.probs(0), outcome)
             params.zero_grads()
             policy_backward(params, batch, upstream)
             analytic = params.grads.copy()
 
             def value() -> float:
-                return transition.step_logprob(
-                    kind, policy_forward(params, state, prompt, temperature), outcome
-                )
+                return transition.step_logprob(kind, forward_encoded(params, inputs).probs(0), outcome)
 
             rel, diff = _grad_mismatch(analytic, _fd_gradient(value, params, LOGPROB_FD_STEP))
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
@@ -539,8 +555,9 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
     for beta in (0.0, 0.5):
         for _ in range(trials):
             group, params, ref_params, config = _random_objective_instance(rng, beta)
+            loss = grpo.LossPass([group], params.arch, ref_params, config)
             params.zero_grads()
-            _, stats = grpo.grpo_loss_and_grad([group], params, ref_params, config)
+            _, stats = loss.evaluate(params)
             analytic = -params.grads.copy()  # accumulated gradient is of -objective
             clipped_terms += round(
                 stats["clip_frac"] * config.group_size * group.trajectories[0].total_steps
@@ -548,10 +565,7 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
             total_terms += config.group_size * group.trajectories[0].total_steps
 
             def objective() -> float:
-                value, _ = grpo.grpo_loss_and_grad(
-                    [group], params, ref_params, config, compute_grad=False
-                )
-                return value
+                return loss.evaluate(params, compute_grad=False)[0]
 
             rel, diff = _grad_mismatch(analytic, _fd_gradient(objective, params, OBJECTIVE_FD_STEP))
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
@@ -633,15 +647,16 @@ class D3pmReport(NamedTuple):
     min_elbo_term: float
     worst_true_posterior_elbo: float
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.worst_row_sum <= 1e-12
-            and self.worst_marginal_diff <= 1e-12
-            and self.worst_posterior_diff <= 1e-12
-            and self.min_elbo_term >= -1e-15
-            and self.worst_true_posterior_elbo <= 1e-12
-        )
+    passed = property(_within_bounds)
+
+    def checks(self) -> list[tuple]:
+        return [
+            ("worst row-sum deviation", self.worst_row_sum, "<=", 1e-12),
+            ("worst closed-form marginal gap", self.worst_marginal_diff, "<=", 1e-12),
+            ("worst posterior vs paths gap", self.worst_posterior_diff, "<=", 1e-12),
+            ("smallest elbo term", self.min_elbo_term, ">=", -1e-15),
+            ("elbo at the true posterior", self.worst_true_posterior_elbo, "<=", 1e-12),
+        ]
 
 
 def run_d3pm_suite(seed: int = 0) -> D3pmReport:
@@ -708,46 +723,27 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
     )
 
 
-def cmd_verify(trials: int, seed: int, out=None) -> int:
-    out = out or sys.stdout
-    report = run_verify(trials, seed)
-    out.write(
-        f"verify: trials={report.trials}\n"
-        f"  worst |closed-form - enumeration|   = {report.worst_oracle_diff:.3e}\n"
-        f"  worst |sum(enumeration) - 1|        = {report.worst_enum_sum_diff:.3e}\n"
-        f"  worst |sum(closed-form) - 1|        = {report.worst_model_sum_diff:.3e}\n"
-        f"  ordering violations                 = {report.ordering_violations}\n"
-    )
-    out.write("verify: PASS\n" if report.passed else "verify: FAIL\n")
+def _write_report(out, name: str, header: str, report) -> int:
+    """Each quantity next to the bound it is checked against, then the verdict."""
+    out.write(f"{name}: {header}\n")
+    for label, value, rel, bound in report.checks():
+        text = f"{value:.3e}" if isinstance(value, float) else str(value)
+        out.write(f"  {label:<48} = {text}" + ("\n" if rel is None else f"  (bound {rel} {bound:g})\n"))
+    out.write(f"{name}: {'PASS' if report.passed else 'FAIL'}\n")
     return 0 if report.passed else 1
+
+
+def cmd_verify(trials: int, seed: int, out=None) -> int:
+    return _write_report(out or sys.stdout, "verify", f"trials={trials}", run_verify(trials, seed))
 
 
 def cmd_gradcheck(trials: int, seed: int, out=None) -> int:
-    out = out or sys.stdout
-    report = run_gradcheck(trials, seed)
-    out.write(
-        f"gradcheck: trials={report.trials} per definition plus objective\n"
-        f"  worst per-coordinate error = {report.worst_rel_err:.3e}\n"
-        f"  worst absolute difference  = {report.worst_abs_err:.3e}\n"
-        f"  clipped surrogate terms    = {report.clip_fraction:.1%}\n"
-    )
-    out.write("gradcheck: PASS\n" if report.passed else "gradcheck: FAIL\n")
-    return 0 if report.passed else 1
+    header = f"trials={trials} per definition plus objective"
+    return _write_report(out or sys.stdout, "gradcheck", header, run_gradcheck(trials, seed))
 
 
 def cmd_d3pm(out=None) -> int:
-    out = out or sys.stdout
-    report = run_d3pm_suite()
-    out.write(
-        f"d3pm suite:\n"
-        f"  worst row-sum deviation        = {report.worst_row_sum:.3e}\n"
-        f"  worst closed-form marginal gap = {report.worst_marginal_diff:.3e}\n"
-        f"  worst posterior vs paths gap   = {report.worst_posterior_diff:.3e}\n"
-        f"  smallest elbo term             = {report.min_elbo_term:.3e}\n"
-        f"  elbo at the true posterior     = {report.worst_true_posterior_elbo:.3e}\n"
-    )
-    out.write("d3pm: PASS\n" if report.passed else "d3pm: FAIL\n")
-    return 0 if report.passed else 1
+    return _write_report(out or sys.stdout, "d3pm", "property suite", run_d3pm_suite())
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,9 @@ prompt embedding to one logit row per position.  Rows for currently masked
 positions, tempered and log-softmaxed, form the per-step prediction
 distribution.  Every prediction therefore conditions on all unmasked tokens.
 Forward and backward run over a batch of canvases, each layer as one matrix
-product; a single canvas is the batch of one.
+product; a single canvas is the batch of one.  A batch is checked and
+encoded once (``encode_batch``), and its layers can then run at any
+parameters of the same architecture (``forward_encoded``).
 
 Probabilities live in log space; linear-space copies are produced through a
 ``exp(max(logp, -80))`` clamp so that downstream products over many positions
@@ -30,7 +32,10 @@ __all__ = [
     "PolicyParams",
     "ProbMatrix",
     "PolicyBatch",
+    "PolicyInputs",
     "init_params",
+    "encode_batch",
+    "forward_encoded",
     "policy_forward",
     "policy_forward_batch",
     "policy_backward",
@@ -196,18 +201,21 @@ class PolicyBatch(NamedTuple):
         return ProbMatrix(self.rows[rows], self.log_rows[rows], self.positions[rows])
 
 
-def policy_forward_batch(
-    params: PolicyParams,
-    states: Sequence[CanvasState],
-    prompts: Sequence[Prompt],
-    temperatures: Sequence[float],
-) -> PolicyBatch:
-    """Forward pass over canvases ``states[b]`` with ``prompts[b]`` at
-    ``temperatures[b]``, each layer one matrix product; pure in all inputs.
+class PolicyInputs(NamedTuple):
+    """Checked, encoded canvases: the inputs and row layout of a :class:`PolicyBatch`."""
 
-    Rows are a softmax of logits checked finite here, so need no row checks.
-    """
-    arch = params.arch
+    arch: PolicyArch
+    features: np.ndarray
+    index: np.ndarray
+    positions: np.ndarray
+    start: list[int]
+    temperature: np.ndarray
+
+
+def encode_batch(
+    arch: PolicyArch, states: Sequence[CanvasState], prompts: Sequence[Prompt], temperatures: Sequence[float]
+) -> PolicyInputs:
+    """Check canvases, prompts and temperatures against ``arch`` and encode them once."""
     n, k = arch.length, arch.num_categories
     if not len(states) == len(prompts) == len(temperatures) > 0:
         raise ValueError("one prompt and one temperature per canvas required")
@@ -226,16 +234,40 @@ def policy_forward_batch(
     x = np.zeros((b, arch.input_dim))
     x[np.arange(b)[:, None], np.arange(0, n * (k + 1), k + 1) + tokens] = 1.0
     x[:, n * (k + 1) :] = [p.embedding for p in prompts]
-    w1, b1, w2, b2 = params._views()
-    h = np.tanh(x @ w1 + b1)
     temperature = np.asarray(temperatures, dtype=np.float64)
-    z = ((h @ w2 + b2) / temperature[:, None]).reshape(b * n, k)[index]
+    return PolicyInputs(arch, x, index, index % n, start, temperature)
+
+
+def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
+    """The layers at ``params`` on encoded canvases, each one matrix product.
+
+    Rows are a softmax of logits checked finite here, so need no row checks.
+    """
+    arch = params.arch
+    if inputs.arch != arch:
+        raise ValueError("encoded canvases do not match policy architecture")
+    w1, b1, w2, b2 = params._views()
+    h = np.tanh(inputs.features @ w1 + b1)
+    z = ((h @ w2 + b2) / inputs.temperature[:, None]).reshape(-1, arch.num_categories)[inputs.index]
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits")
     z -= z.max(axis=1, keepdims=True)
     log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
-    return PolicyBatch(x, h, rows, log_rows, index, index % n, start, temperature)
+    return PolicyBatch(
+        inputs.features, h, rows, log_rows, inputs.index, inputs.positions, inputs.start, inputs.temperature
+    )
+
+
+def policy_forward_batch(
+    params: PolicyParams,
+    states: Sequence[CanvasState],
+    prompts: Sequence[Prompt],
+    temperatures: Sequence[float],
+) -> PolicyBatch:
+    """Forward pass over canvases ``states[b]`` with ``prompts[b]`` at
+    ``temperatures[b]``, :func:`encode_batch` then :func:`forward_encoded`."""
+    return forward_encoded(params, encode_batch(params.arch, states, prompts, temperatures))
 
 
 def policy_forward(

@@ -26,7 +26,7 @@ from maskgrpo import (
     train,
 )
 from maskgrpo import grpo
-from maskgrpo.grpo import active_steps
+from maskgrpo.grpo import LossPass, active_steps
 from maskgrpo.transition import StepOutcome, step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
 
@@ -282,6 +282,8 @@ class TestLossAndGrad:
         a.outcomes[2], b.outcomes[2] = b.outcomes[2], a.outcomes[2]
         with pytest.raises(ValueError, match="does not belong"):
             grpo_loss_and_grad([group], params, None, config)
+        with pytest.raises(ValueError, match="does not belong"):
+            LossPass([group], params.arch, None, config)
         a.outcomes[2], b.outcomes[2] = b.outcomes[2], a.outcomes[2]
         grpo_loss_and_grad([group], params, None, config)
         # Steps 1 and 2 re-cut so that together they list the right
@@ -294,10 +296,14 @@ class TestLossAndGrad:
         )
         with pytest.raises(ValueError, match="does not belong"):
             grpo_loss_and_grad([group], params, None, config)
+        with pytest.raises(ValueError, match="does not belong"):
+            LossPass([group], params.arch, None, config)
         # The trajectory's own outcome of another step: another row count.
         a.outcomes[1], a.outcomes[2] = one, a.outcomes[0]
         with pytest.raises(ValueError, match="does not belong"):
             grpo_loss_and_grad([group], params, None, config, compute_grad=False)
+        with pytest.raises(ValueError, match="does not belong"):
+            LossPass([group], params.arch, None, config)
 
     def test_sampled_token_out_of_range_is_refused(self):
         group, params = frozen_group(seed=10, n=6, k=3, t=3, g=3)
@@ -310,6 +316,8 @@ class TestLossAndGrad:
         for compute_grad in (True, False):
             with pytest.raises(ValueError, match="sampled token out of range"):
                 grpo_loss_and_grad([group], params, None, config, compute_grad=compute_grad)
+        with pytest.raises(ValueError, match="sampled token out of range"):
+            LossPass([group], params.arch, None, config)
 
     def test_compute_subset_matches_restricted_full_objective(self):
         group, params = frozen_group(seed=7, n=8, t=4, g=3)
@@ -343,6 +351,89 @@ class TestLossAndGrad:
         assert active_steps(Reduction.compute_subset(1, 3), 4).tolist() == [1, 2]
         with pytest.raises(ValueError):
             Reduction.compute_subset(2, 2)
+
+
+class TestLossPass:
+    @pytest.mark.parametrize("compute_grad", [True, False])
+    @pytest.mark.parametrize("reduction", [Reduction.none(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_evaluate_at_new_params_equals_a_fresh_pass(self, kind, kl_beta, reduction, compute_grad):
+        groups, params, ref_params = two_prompt_groups(kind)
+        config = GrpoConfig(group_size=3, kl_beta=kl_beta, reduction=reduction, kind=kind)
+        ref = ref_params if kl_beta > 0.0 else None
+        loss = LossPass(groups, params.arch, ref, config)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            params.params += rng.normal(scale=0.05, size=params.params.shape)
+            params.zero_grads()
+            fresh = params.copy()
+            got = loss.evaluate(params, compute_grad)
+            want = grpo_loss_and_grad(groups, fresh, ref, config, compute_grad)
+            assert got == want
+            assert params.grads.tobytes() == fresh.grads.tobytes()
+            assert params.grads.any() == compute_grad
+
+    def test_sees_in_place_edits_of_the_parameters(self):
+        # The finite-difference probes edit one coordinate of ``params.params``
+        # in place between evaluations of one pass.
+        groups, params, ref_params = two_prompt_groups(TransitionKind.EXACT)
+        config = GrpoConfig(group_size=3, kl_beta=0.5)
+        loss = LossPass(groups, params.arch, ref_params, config)
+        before = loss.evaluate(params, compute_grad=False)
+        i = params.arch.input_dim * params.arch.hidden  # a first-layer bias, seen by every canvas
+        base = params.params[i]
+        params.params[i] = base + 1e-3
+        after = loss.evaluate(params, compute_grad=False)
+        assert after != before
+        assert after == grpo_loss_and_grad(groups, params, ref_params, config, compute_grad=False)
+        params.params[i] = base
+        assert loss.evaluate(params, compute_grad=False) == before
+
+    @pytest.mark.parametrize("kl_beta", [0.0, 0.2])
+    def test_inner_epochs_on_one_pass_equal_a_pass_rebuilt_per_epoch(self, kl_beta, monkeypatch):
+        setup = pattern_setup(iterations=3, inner_epochs=3, kl_beta=kl_beta)
+        once = train(setup)
+        built = LossPass
+
+        class Rebuilt:
+            def __init__(self, *args):
+                self.args = args
+
+            def evaluate(self, params, compute_grad=True):
+                return built(*self.args).evaluate(params, compute_grad)
+
+        monkeypatch.setattr(grpo, "LossPass", Rebuilt)
+        rebuilt = train(setup)
+        assert once.params.params.tobytes() == rebuilt.params.params.tobytes()
+        for a, b in zip(once.metrics, rebuilt.metrics, strict=True):
+            assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
+
+
+class TestGrpoConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("kl_beta", float("nan")),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("nan")),
+            ("adam_beta1", 1.0),
+            ("adam_beta1", -0.1),
+            ("adam_beta2", 1.0),
+            ("adam_beta2", float("nan")),
+            ("adam_eps", 0.0),
+            ("adam_eps", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_is_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            GrpoConfig(**{name: value})
+
+    def test_range_edges_accepted(self):
+        GrpoConfig(kl_beta=0.0, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
 
 
 def pattern_setup(**overrides):

@@ -150,6 +150,27 @@ class TestCmdTrain:
         assert "max_resamples=256 exceeds 255" in err
 
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("temperature", "nan"),
+            ("kl_beta", "nan"),
+            ("learning_rate", "0"),
+            ("adam_beta1", "1.0"),
+            ("adam_beta2", "-0.5"),
+            ("adam_eps", "0"),
+        ],
+    )
+    def test_out_of_range_setting_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, key, raw):
+        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+        out = tmp_path / "run"
+        text = f"{key}={raw}\niterations=1\nout_dir={out}\n"
+        assert main(["train", "-c", write_config(tmp_path, text)]) == 2
+        assert not (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must" in err
+
+
 class TestCmdSample:
     def test_frequency_summary_on_uniform_policy(self, tmp_path):
         arch = PolicyArch(length=2, num_categories=2, hidden=8, embed=4)
@@ -202,6 +223,16 @@ class TestGradcheck:
         report = run_gradcheck(1, 0)
         assert report.passed
         assert report.worst_abs_err > 0.0
+
+
+    @pytest.mark.parametrize(
+        "command, bounded", [(["verify", "-n", "20"], 4), (["gradcheck", "-n", "1"], 1), (["d3pm"], 5)]
+    )
+    def test_each_checked_quantity_is_printed_with_its_bound(self, command, bounded, capsys):
+        assert main(command) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if "(bound " in line]) == bounded
+        assert lines[-1] == f"{command[0]}: PASS"
 
 
 class TestMainEntry:

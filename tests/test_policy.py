@@ -14,7 +14,14 @@ from maskgrpo import (
     policy_forward_batch,
     save_checkpoint,
 )
-from maskgrpo.policy import ArchMismatchError, BadMagicError, TruncatedError, VersionError
+from maskgrpo.policy import (
+    ArchMismatchError,
+    BadMagicError,
+    TruncatedError,
+    VersionError,
+    encode_batch,
+    forward_encoded,
+)
 
 
 def small_setup(seed=123):
@@ -116,6 +123,27 @@ class TestForwardBatch:
         full = apply_step(state, [0, 1, 2, 3], [0, 0, 0, 0])
         with pytest.raises(ValueError, match="no masked positions"):
             policy_forward_batch(params, [state, full], [prompt, prompt], [1.0, 1.0])
+
+class TestEncodedBatch:
+    def test_layers_rerun_at_new_params_equal_a_fresh_forward(self):
+        _, params, _, _ = small_setup()
+        states, prompts, temps = two_canvas_batch(params)
+        inputs = encode_batch(params.arch, states, prompts, temps)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            params.params += rng.normal(scale=0.1, size=params.params.shape)
+            got = forward_encoded(params, inputs)
+            want = policy_forward_batch(params, states, prompts, temps)
+            for name, a, b in zip(want._fields, got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+    def test_other_architecture_refused(self):
+        _, params, prompt, state = small_setup()
+        inputs = encode_batch(params.arch, [state], [prompt], [1.0])
+        other = init_params(PolicyArch(length=4, num_categories=3, hidden=9, embed=4), seed=0)
+        with pytest.raises(ValueError, match="do not match policy architecture"):
+            forward_encoded(other, inputs)
+
 
 class TestFromRows:
     def test_accepts_exact_zeros(self):
