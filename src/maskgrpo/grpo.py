@@ -253,12 +253,11 @@ class LossPass:
         self.order = np.concatenate(list(self.shapes.values()))
         self.lengths = sizes[self.order]
         offsets = np.cumsum(self.lengths) - self.lengths
-        self.perm = np.repeat(start[self.order] - offsets, self.lengths) + np.arange(self.lengths.sum())
-        self.sampled_p, self.chosen_p = sampled[self.perm], chosen[self.perm]
-        self.positions_p = inputs.positions[self.perm]
+        self.perm = perm = np.repeat(start[self.order] - offsets, self.lengths) + np.arange(self.lengths.sum())
+        self.sampled_p, self.chosen_p, self.positions_p = sampled[perm], chosen[perm], inputs.positions[perm]
         if ref_batch is not None:
             self.kept_p = self.chosen_p.nonzero()[0]
-            self.ref_rows_p = ref_batch.rows[self.perm[self.kept_p]]
+            self.ref_rows_p = ref_batch.rows[perm[self.kept_p]]
             self.kept = chosen.nonzero()[0]
             self.ref_log_rows = ref_batch.log_rows[self.kept]
             self.kl_coef = np.repeat(self.norm * config.kl_beta, kept_counts)[:, None]
@@ -539,6 +538,7 @@ def train(
                 raise FloatingPointError(f"iteration {it}: {err}") from err
             grad_norm = float(np.linalg.norm(params.grads))
             adam_step(params, opt, config)
+        del loss  # holds the batch's encoded canvases; freed before the next rollout
 
         row = {
             "iter": it,

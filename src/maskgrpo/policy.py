@@ -243,12 +243,11 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
 
     Rows are a softmax of logits checked finite here, so need no row checks.
     """
-    arch = params.arch
-    if inputs.arch != arch:
+    if inputs.arch != params.arch:
         raise ValueError("encoded canvases do not match policy architecture")
     w1, b1, w2, b2 = params._views()
     h = np.tanh(inputs.features @ w1 + b1)
-    z = ((h @ w2 + b2) / inputs.temperature[:, None]).reshape(-1, arch.num_categories)[inputs.index]
+    z = ((h @ w2 + b2) / inputs.temperature[:, None]).reshape(-1, params.arch.num_categories)[inputs.index]
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits")
     z -= z.max(axis=1, keepdims=True)
