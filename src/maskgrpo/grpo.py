@@ -221,7 +221,7 @@ class LossPass:
             return
         self.owners, trajs, self.steps, advs, norms = zip(*terms)
         self.adv, self.norm = np.array(advs), np.array(norms)
-        self.old_logp = [traj.old_logprobs[t] for traj, t in zip(trajs, self.steps)]
+        self.old_logp = np.array([traj.old_logprobs[t] for traj, t in zip(trajs, self.steps)])
         self.inputs = inputs = encode_batch(
             arch,
             [traj.states[t] for traj, t in zip(trajs, self.steps)],

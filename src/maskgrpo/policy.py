@@ -243,7 +243,7 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
 
     Rows are a softmax of logits checked finite here, so need no row checks.
     """
-    if inputs.arch != params.arch:
+    if inputs.arch is not params.arch and inputs.arch != params.arch:
         raise ValueError("encoded canvases do not match policy architecture")
     w1, b1, w2, b2 = params._views()
     h = np.tanh(inputs.features @ w1 + b1)
