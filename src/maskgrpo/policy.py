@@ -17,6 +17,7 @@ never underflow to zero.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -219,7 +220,7 @@ def encode_batch(
     n, k = arch.length, arch.num_categories
     if not len(states) == len(prompts) == len(temperatures) > 0:
         raise ValueError("one prompt and one temperature per canvas required")
-    if min(temperatures) <= 0.0:
+    if not all(0.0 < t < math.inf for t in temperatures):
         raise ValueError("temperature must be positive")
     if any(s.length != n or s.num_categories != k for s in states):
         raise ValueError("canvas does not match policy architecture")

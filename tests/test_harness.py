@@ -203,6 +203,15 @@ class TestCmdSample:
             cmd_sample(str(ckpt), "pattern:0,1", 1, out=io.StringIO(), **option)
 
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_nonpositive_temperature_exits_2(self, tmp_path, capsys, raw):
+        arch = PolicyArch(length=2, num_categories=2, hidden=8, embed=4)
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(init_params(arch, 0), str(ckpt))
+        assert main(["sample", "-k", str(ckpt), "-p", "pattern:0,1", "--temperature", raw]) == 2
+        assert "error: temperature must be finite and positive" in capsys.readouterr().err
+
+
 class TestCmdVerify:
     def test_reports_reproducible(self):
         a, b = io.StringIO(), io.StringIO()

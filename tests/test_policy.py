@@ -84,6 +84,12 @@ class TestForward:
         with pytest.raises(ValueError):
             policy_forward(params, state, prompt, 0.0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        _, params, prompt, state = small_setup()
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            policy_forward_batch(params, [state, state], [prompt, prompt], [1.0, temperature])
+
     def test_non_finite_logits_rejected(self):
         _, params, prompt, state = small_setup()
         params.params[-1] = np.inf  # output bias goes bad

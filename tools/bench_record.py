@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Run the benchmark's workloads on one or more checkouts and record them.
+"""Run the benchmark's workloads on a parent and a change checkout and record them.
 
     python3 tools/bench_record.py --out BENCH_9.json --seeds 401 402 403 \\
-        --side parent=../parent --side change=. [--workloads oracle_verify] [--seconds 10]
+        --parent ../parent --change .
 
-Every (seed, workload) runs ``bench/run.py --trace 0`` once per side, each
-side from its own checkout directory, one run at a time.  The side that goes
-first alternates from seed to seed, so host drift does not favour one side.
-The JSON written holds every run (seed, order, correctness, op counts and
-the five end-to-end metrics), and per side and workload the median and
-quartiles of each metric; with two sides it also counts, per metric, the
-seeds on which the second side read better than the first, using the
-``better`` direction of the first side's ``BENCHMARK.json``.  It records each
-side's git SHA, the numpy version, its BLAS build and the repeat count.
+Every workload of the parent's ``BENCHMARK.json`` runs for its
+``run_seconds`` as ``bench/run.py --trace 0``, once per seed and checkout,
+each from its own directory, one run at a time.  Which checkout goes first
+alternates from seed to seed, so host drift does not favour one side.  The
+JSON written holds every run (seed, order, correctness, op counts and the
+five end-to-end metrics), per side and workload the median and quartiles of
+each metric, and per workload and metric the change of the median and the
+number of seeds on which the change read better than the parent, by the
+metric's ``better`` direction.  It records both git SHAs, the numpy version,
+its BLAS build and the repeat count.
 """
 
 from __future__ import annotations
@@ -65,20 +66,17 @@ def summarise(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    parser.add_argument("--side", action="append", required=True, help="LABEL=CHECKOUT_DIR, once per side")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
-    sides = {}
-    for spec in args.side:
-        label, sep, path = spec.partition("=")
-        if not sep or not (Path(path) / "bench" / "run.py").is_file():
-            parser.error(f"--side {spec!r}: expected LABEL=DIR of a checkout with bench/run.py")
-        sides[label] = Path(path).resolve()
-    bench = json.loads((next(iter(sides.values())) / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for label, path in sides.items():
+        if not (path / "bench" / "run.py").is_file():
+            parser.error(f"--{label} {path}: not a checkout with bench/run.py")
+    bench = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     labels = list(sides)
     runs = {label: {w: [] for w in workloads} for label in labels}
     for i, seed in enumerate(args.seeds):
@@ -107,22 +105,20 @@ def main(argv=None) -> int:
             for label in labels
         },
     }
-    if len(labels) == 2:
-        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        first, second = labels
-        record["comparison"] = {}
-        for w in workloads:
-            rows = {}
-            for name, direction in better.items():
-                a = [r["metrics"][name] for r in runs[first][w]]
-                b = [r["metrics"][name] for r in runs[second][w]]
-                sign = 1.0 if direction == "lower" else -1.0
-                rows[name] = {
-                    "change_of_median": float(np.median(b) / np.median(a) - 1.0),
-                    f"{second}_better_pairs": sum(sign * (x - y) > 0 for x, y in zip(a, b)),
-                    "pairs": len(a),
-                }
-            record["comparison"][w] = rows
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    record["comparison"] = {}
+    for w in workloads:
+        rows = {}
+        for name, direction in better.items():
+            a = [r["metrics"][name] for r in runs["parent"][w]]
+            b = [r["metrics"][name] for r in runs["change"][w]]
+            sign = 1.0 if direction == "lower" else -1.0
+            rows[name] = {
+                "change_of_median": float(np.median(b) / np.median(a) - 1.0),
+                "change_better_pairs": sum(sign * (x - y) > 0 for x, y in zip(a, b)),
+                "pairs": len(a),
+            }
+        record["comparison"][w] = rows
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
