@@ -305,9 +305,7 @@ class LossPass:
         term = np.minimum(unclipped, clipped)
         if kl_weighted:
             term -= config.kl_beta * kl
-        objective = 0.0
-        ratio_sum = 0.0
-        kl_sum = 0.0
+        objective = ratio_sum = kl_sum = 0.0
         # Summed one term at a time in term order: a vectorised sum rounds differently.
         for x, r, d in zip((norm * term).tolist(), ratio.tolist(), kl.tolist()):
             objective += x

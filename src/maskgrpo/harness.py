@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import operator
 import os
 import sys
@@ -337,7 +336,7 @@ def cmd_sample(
     for key, raw in (("schedule", schedule), ("transition", kind)):
         if raw not in _CHOICES[key]:
             raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
-    if not 0.0 < temperature < math.inf:
+    if not 0.0 < temperature < np.inf:
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
     params = load_checkpoint(ckpt_path)
     arch = params.arch

@@ -17,7 +17,6 @@ never underflow to zero.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -220,7 +219,7 @@ def encode_batch(
     n, k = arch.length, arch.num_categories
     if not len(states) == len(prompts) == len(temperatures) > 0:
         raise ValueError("one prompt and one temperature per canvas required")
-    if not all(0.0 < t < math.inf for t in temperatures):
+    if not all(0.0 < t < np.inf for t in temperatures):
         raise ValueError("temperature must be positive")
     if any(s.length != n or s.num_categories != k for s in states):
         raise ValueError("canvas does not match policy architecture")
