@@ -25,12 +25,11 @@ import numpy as np
 from maskgrpo import ProbMatrix
 from maskgrpo.transition import (
     StepOutcome,
+    TransitionKind,
     cam_select,
     enumerate_next_states,
-    logprob_ar,
-    logprob_exact,
-    logprob_unmasked,
     oracle_check,
+    step_logprob,
 )
 
 probs = ProbMatrix.from_rows([[0.5, 0.5], [0.7, 0.3]])
@@ -42,9 +41,12 @@ outcome = StepOutcome(
 )
 
 print("== The three definitions ==")
-print(f"AR-style   exp(logp) = {np.exp(logprob_ar(probs, outcome)):.4f}   (0.5 * 0.7)")
-print(f"exact      exp(logp) = {np.exp(logprob_exact(probs, outcome)):.4f}   (0.7 * (0.5 + 0.5))")
-print(f"kept-only  exp(logp) = {np.exp(logprob_unmasked(probs, outcome)):.4f}   (0.7)")
+for kind, label, note in (
+    (TransitionKind.AR_STYLE, "AR-style ", "0.5 * 0.7"),
+    (TransitionKind.EXACT, "exact    ", "0.7 * (0.5 + 0.5)"),
+    (TransitionKind.UNMASKED_ONLY, "kept-only", "0.7"),
+):
+    print(f"{label}  exp(logp) = {np.exp(step_logprob(kind, probs, outcome)):.4f}   ({note})")
 print()
 
 print("== Brute-force enumeration of all joint samplings ==")
@@ -69,5 +71,5 @@ for trial in range(5):
     sampled, confs = sample_step(pm, rng)
     chosen = cam_select(confs, 2)
     oc = StepOutcome(sampled=sampled, confidences=confs, chosen=chosen, positions=pm.positions)
-    triple = (logprob_ar(pm, oc), logprob_exact(pm, oc), logprob_unmasked(pm, oc))
+    triple = [step_logprob(kind, pm, oc) for kind in TransitionKind]
     print(f"  trial {trial}: {triple[0]:+.4f} <= {triple[1]:+.4f} <= {triple[2]:+.4f}")

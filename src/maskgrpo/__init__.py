@@ -51,9 +51,6 @@ from .transition import (
     TransitionKind,
     cam_select,
     enumerate_next_states,
-    logprob_ar,
-    logprob_exact,
-    logprob_unmasked,
     oracle_check,
     step_logprob,
 )

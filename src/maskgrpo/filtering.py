@@ -4,8 +4,9 @@ Groups whose reward standard deviation falls below a running percentile of
 recent group spreads are resampled: a low-spread group carries almost no
 ranking signal once rewards are normalised within the group.  Every generated
 group's spread enters the history, including rejected ones; dropping them
-would ratchet the threshold upward without bound.  A finite retry budget with
-fallback-accept keeps the trainer making progress.
+would ratchet the threshold upward without bound.  A finite retry budget keeps
+the trainer making progress: a low-spread group with no retry left is
+``EXHAUSTED`` and the caller uses it anyway.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ __all__ = ["StdHistory", "Decision", "threshold", "admit"]
 class Decision(enum.Enum):
     ACCEPT = "accept"
     RESAMPLE = "resample"
+    EXHAUSTED = "exhausted"
 
 
 @dataclass
 class StdHistory:
-    """Ring buffer of recent group reward spreads plus the filter settings.
-
-    Spreads enter through :meth:`push`, which also drops the cached cutoff.
-    """
+    """Ring buffer of recent group reward spreads plus the filter settings."""
 
     window: int = 200
     percentile: float = 10.0
     warmup_min: int = 20
     max_resamples: int = 5
     values: deque = field(default_factory=deque)
-    # The percentile of ``values``, kept until the next ``push``.
-    _cutoff: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.percentile < 100.0:
@@ -48,7 +45,6 @@ class StdHistory:
 
     def push(self, group_std: float) -> None:
         self.values.append(float(group_std))
-        self._cutoff = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -57,28 +53,26 @@ class StdHistory:
 def threshold(history: StdHistory) -> float | None:
     """Percentile of the buffered spreads, or None while warming up.
 
-    Uses linear interpolation between closest order statistics.  The value
-    is computed once per push, so ``admit`` right after ``threshold`` reuses it.
+    Uses linear interpolation between closest order statistics.
     """
     if len(history) < history.warmup_min:
         return None
-    if history._cutoff is None:
-        values = np.fromiter(history.values, dtype=np.float64)
-        history._cutoff = float(np.percentile(values, history.percentile))
-    return history._cutoff
+    values = np.fromiter(history.values, dtype=np.float64)
+    return float(np.percentile(values, history.percentile))
 
 
 def admit(history: StdHistory, group_std: float, resamples_used: int = 0) -> Decision:
-    """Accept or resample one freshly generated group.
+    """Decide on one freshly generated group.
 
-    The group's spread is recorded in the history either way.  Resampling
-    only triggers while the threshold is active and retry budget remains;
-    an exhausted budget falls back to accepting the group.
+    The group's spread is recorded in the history either way.  A group is
+    accepted unless the threshold is active and its spread lies below it;
+    then it is resampled while retry budget remains, and ``EXHAUSTED`` once
+    ``resamples_used`` reaches ``max_resamples``.
     """
     cutoff = threshold(history)
     history.push(group_std)
     if cutoff is None or group_std >= cutoff:
         return Decision.ACCEPT
     if resamples_used >= history.max_resamples:
-        return Decision.ACCEPT
+        return Decision.EXHAUSTED
     return Decision.RESAMPLE

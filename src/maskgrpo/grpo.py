@@ -5,7 +5,8 @@ a terminal reward, normalises rewards within the group (mean 0, population
 std 1), and ascends a clipped importance-ratio surrogate.  There is no value
 network: the group normalisation is the whole baseline.  The importance
 ratio of a step is taken on the step's transition probability under the
-configured definition, recomputed against the rollout-time value.
+definition its trajectory recorded (``Trajectory.kind``, so one pass may mix
+definitions), recomputed against the rollout-time value.
 
 Rewards are terminal and broadcast: every step of a trajectory shares the
 trajectory's single normalised advantage.
@@ -198,7 +199,9 @@ class LossPass:
     enters the clipped surrogate.  The build does all that the parameters do
     not change: terms, canvas encoding, outcome checks, grouping of the steps
     by shape (kind, masked rows, kept rows) and the reference forward.
-    :meth:`evaluate` reads ``params.params`` afresh on every call.
+    :meth:`evaluate` reads ``params.params`` afresh on every call.  An
+    ``EXACT`` step with an empty remasked support there (possible after an
+    inner epoch's update) has log-probability ``-inf``: ratio and gradient 0.
     """
 
     def __init__(
@@ -254,7 +257,7 @@ class LossPass:
         self.lengths = sizes[self.order]
         offsets = np.cumsum(self.lengths) - self.lengths
         self.perm = perm = np.repeat(start[self.order] - offsets, self.lengths) + np.arange(self.lengths.sum())
-        self.sampled_p, self.chosen_p, self.positions_p = sampled[perm], chosen[perm], inputs.positions[perm]
+        self.sampled_p, self.chosen_p = sampled[perm], chosen[perm]
         if ref_batch is not None:
             self.kept_p = self.chosen_p.nonzero()[0]
             self.ref_rows_p = ref_batch.rows[perm[self.kept_p]]
@@ -284,7 +287,7 @@ class LossPass:
                 log_rows[block],
                 self.sampled_p[block],
                 self.chosen_p[block],
-                self.positions_p[block],
+                None,  # an empty EXACT support scores -inf instead of raising
                 len(members),
                 out=None if upstream is None else upstream[block],
             )
@@ -504,20 +507,13 @@ def train(
             for tr, r in zip(trajs, rewards):
                 tr.reward = float(r)
             std = float(rewards.std())
-            cutoff = filtering.threshold(history)
-            below = cutoff is not None and std < cutoff
             decision = filtering.admit(history, std, attempt)
-            filtered += int(below)
-            if decision is filtering.Decision.RESAMPLE:
-                attempt += 1
-                continue
-            if below:
-                log.warning(
-                    "iteration %d: resample budget exhausted, accepting group with std %.3g",
-                    it,
-                    std,
-                )
-            break
+            filtered += decision is not filtering.Decision.ACCEPT
+            if decision is not filtering.Decision.RESAMPLE:
+                break
+            attempt += 1
+        if decision is filtering.Decision.EXHAUSTED:
+            log.warning("iteration %d: resample budget exhausted, accepting group with std %.3g", it, std)
 
         advantages, degenerate = group_advantages(rewards)
         group = Group(

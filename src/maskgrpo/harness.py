@@ -411,7 +411,7 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         n_keep = int(rng.integers(1, min(2, m) + 1))
         probs = transition.ProbMatrix.from_rows(_random_prob_rows(rng, m, k))
         outcome = draw_outcome(probs, rng, n_keep)
-        lp_exact = transition.logprob_exact(probs, outcome)
+        lp_exact = transition.step_logprob(TransitionKind.EXACT, probs, outcome)
         table = transition.enumerate_next_states(probs, n_keep)
         enumerated = table.get(transition.signature_of_outcome(outcome), 0.0)
         worst_oracle = max(worst_oracle, abs(enumerated - float(np.exp(lp_exact))))
@@ -419,10 +419,10 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         model_sum = 0.0
         for sig in table:
             rep = transition.representative_outcome(probs, sig)
-            model_sum += float(np.exp(transition.logprob_exact(probs, rep)))
+            model_sum += float(np.exp(transition.step_logprob(TransitionKind.EXACT, probs, rep)))
         worst_model_sum = max(worst_model_sum, abs(model_sum - 1.0))
-        lp_ar = transition.logprob_ar(probs, outcome)
-        lp_kept = transition.logprob_unmasked(probs, outcome)
+        lp_ar = transition.step_logprob(TransitionKind.AR_STYLE, probs, outcome)
+        lp_kept = transition.step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         # 1e-12 slack absorbs the different float paths of equal-value cases.
         if not (lp_ar <= lp_exact + 1e-12 and lp_exact <= lp_kept + 1e-12):
             violations += 1

@@ -175,34 +175,14 @@ class ProbMatrix:
         return self.rows.shape[1]
 
 
-class PolicyBatch(NamedTuple):
-    """One forward pass over ``B`` canvases, kept for :func:`policy_backward`.
-
-    The prediction rows of all canvases are stacked in canvas order, one row
-    per masked position: rows ``start[b]:start[b + 1]`` belong to canvas
-    ``b``, and row ``r`` predicts position ``positions[r]`` of its canvas,
-    which is row ``index[r]`` of the batch's ``(B * N, K)`` logits.
-    ``features`` (one-hot canvases plus prompt embeddings, ``(B, d)``) and
-    ``hidden`` (``(B, h)``) are the activations the backward pass reuses.
-    """
-
-    features: np.ndarray
-    hidden: np.ndarray
-    rows: np.ndarray
-    log_rows: np.ndarray
-    index: np.ndarray
-    positions: np.ndarray
-    start: list[int]
-    temperature: np.ndarray
-
-    def probs(self, b: int) -> ProbMatrix:
-        """The prediction rows of canvas ``b``, as views into the batch."""
-        rows = slice(self.start[b], self.start[b + 1])
-        return ProbMatrix(self.rows[rows], self.log_rows[rows], self.positions[rows])
-
-
 class PolicyInputs(NamedTuple):
-    """Checked, encoded canvases: the inputs and row layout of a :class:`PolicyBatch`."""
+    """Checked, encoded canvases (``features``, ``(B, d)``) and their row layout.
+
+    Prediction rows are stacked in canvas order, one per masked position:
+    rows ``start[b]:start[b + 1]`` belong to canvas ``b``, and row ``r``
+    predicts position ``positions[r]`` of its canvas, which is row
+    ``index[r]`` of the batch's ``(B * N, K)`` logits.
+    """
 
     arch: PolicyArch
     features: np.ndarray
@@ -210,6 +190,21 @@ class PolicyInputs(NamedTuple):
     positions: np.ndarray
     start: list[int]
     temperature: np.ndarray
+
+
+class PolicyBatch(NamedTuple):
+    """One forward pass, kept for :func:`policy_backward`: the hidden layer
+    ``(B, h)`` and the prediction rows, laid out as ``inputs`` describes."""
+
+    inputs: PolicyInputs
+    hidden: np.ndarray
+    rows: np.ndarray
+    log_rows: np.ndarray
+
+    def probs(self, b: int) -> ProbMatrix:
+        """The prediction rows of canvas ``b``, as views into the batch."""
+        rows = slice(*self.inputs.start[b : b + 2])
+        return ProbMatrix(self.rows[rows], self.log_rows[rows], self.inputs.positions[rows])
 
 
 def encode_batch(
@@ -253,9 +248,7 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
     z -= z.max(axis=1, keepdims=True)
     log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
-    return PolicyBatch(
-        inputs.features, h, rows, log_rows, inputs.index, inputs.positions, inputs.start, inputs.temperature
-    )
+    return PolicyBatch(inputs, h, rows, log_rows)
 
 
 def policy_forward_batch(
@@ -297,14 +290,14 @@ def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
     # d logp_k / d z_j = delta_kj - p_j, applied row-wise; then undo temperature.
     dz = upstream - batch.rows * upstream.sum(axis=1, keepdims=True)
     dlogits = np.zeros((b * arch.length, arch.num_categories))
-    dlogits[batch.index] = dz / batch.temperature[batch.index // arch.length, None]
+    dlogits[batch.inputs.index] = dz / batch.inputs.temperature[batch.inputs.index // arch.length, None]
     dlogits = dlogits.reshape(b, -1)
     gw1, gb1, gw2, gb2 = params._grad_views()
     _, _, w2, _ = params._views()
     gw2 += batch.hidden.T @ dlogits
     gb2 += dlogits.sum(axis=0)
     dpre = (1.0 - batch.hidden**2) * (dlogits @ w2.T)
-    gw1 += batch.features.T @ dpre
+    gw1 += batch.inputs.features.T @ dpre
     gb1 += dpre.sum(axis=0)
 
 

@@ -52,9 +52,6 @@ __all__ = [
     "cam_select",
     "TransitionKind",
     "DegenerateOutcomeError",
-    "logprob_ar",
-    "logprob_exact",
-    "logprob_unmasked",
     "step_logprob",
     "step_logprob_upstream",
     "enumerate_next_states",
@@ -117,9 +114,11 @@ class TransitionKind(enum.Enum):
 class DegenerateOutcomeError(ValueError):
     """A factor of the transition probability is exactly zero.
 
-    Raised when a confidence is 0 or when a remasked position has no token
-    mass in its ``EXACT`` support, which only hand-built outcomes that
-    ``cam_select`` would not produce can reach.
+    Raised when a confidence is 0, which only hand-built rows reach, or when
+    a remasked position has no token mass in its ``EXACT`` support, which a
+    step re-scored at parameters other than those that sampled it reaches
+    too.  The public scorers raise it; the loss pass scores such a step as
+    impossible.
     """
 
 
@@ -143,7 +142,9 @@ def _score(
     upstream there: a one-hot at every scored row's sample (all rows for
     ``AR_STYLE``, the kept ones otherwise) and, for ``EXACT``, each remasked
     row's probabilities on its support divided by the support's mass.  The
-    caller has checked that the outcomes belong to the rows.
+    caller has checked that the outcomes belong to the rows.  With
+    ``positions=None``, a step with an empty ``EXACT`` support scores
+    ``-inf`` (zero upstream on its empty rows) instead of raising.
     """
     k = rows.shape[1]
     if kind is TransitionKind.AR_STYLE:
@@ -181,42 +182,25 @@ def _score(
     mass = support.sum(axis=2)
     if not mass.all():
         empty = mass <= 0.0
-        b = empty.any(axis=1).argmax()
-        bad = positions[remasked.reshape(members, -1)[b][empty[b]]]
-        raise DegenerateOutcomeError(
-            f"remasked positions {bad.tolist()} have no token mass "
-            f"that ranks below the selection threshold {min_cs[b]!r}"
-        )
+        if positions is not None:
+            b = empty.any(axis=1).argmax()
+            bad = positions[remasked.reshape(members, -1)[b][empty[b]]]
+            raise DegenerateOutcomeError(
+                f"remasked positions {bad.tolist()} have no token mass "
+                f"that ranks below the selection threshold {min_cs[b]!r}"
+            )
+        values[empty.any(axis=1)] = -np.inf
+        mass = np.where(empty, 1.0, mass)
     values += np.log(mass).sum(axis=1)
     if out is not None:
         out[remasked] = (support / mass[:, :, None]).reshape(-1, k)
     return values
 
 
-def _score_one(kind, probs: ProbMatrix, outcome: StepOutcome, out=None) -> float:
+def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome: StepOutcome) -> float:
+    """Log-probability of one step's move to the next canvas under ``kind``."""
     _check_consistent(probs.positions, probs.num_categories, outcome.positions, outcome.sampled)
-    return _score(
-        kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions, out=out
-    ).item()
-
-
-def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome) -> float:
-    return _score_one(kind, probs, outcome)
-
-
-def logprob_ar(probs: ProbMatrix, outcome: StepOutcome) -> float:
-    """Sum of log confidences over all masked positions."""
-    return _score_one(TransitionKind.AR_STYLE, probs, outcome)
-
-
-def logprob_exact(probs: ProbMatrix, outcome: StepOutcome) -> float:
-    """Kept confidences times the support mass at each remasked position."""
-    return _score_one(TransitionKind.EXACT, probs, outcome)
-
-
-def logprob_unmasked(probs: ProbMatrix, outcome: StepOutcome) -> float:
-    """Sum of log confidences over the kept positions only."""
-    return _score_one(TransitionKind.UNMASKED_ONLY, probs, outcome)
+    return _score(kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions).item()
 
 
 def step_logprob_upstream(
@@ -230,8 +214,12 @@ def step_logprob_upstream(
     row's probability mass restricted to its support, renormalised by that
     support's total mass (sets held locally constant, see module docstring).
     """
+    _check_consistent(probs.positions, probs.num_categories, outcome.positions, outcome.sampled)
     upstream = np.zeros(probs.rows.shape)
-    return _score_one(kind, probs, outcome, out=upstream), upstream
+    value = _score(
+        kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions, out=upstream
+    )
+    return value.item(), upstream
 
 
 class NextState(NamedTuple):
@@ -312,7 +300,7 @@ def oracle_check(probs: ProbMatrix, outcome) -> OracleCheck:
     table = enumerate_next_states(probs, outcome.num_chosen)
     enumerated = table.get(signature_of_outcome(outcome), 0.0)
     try:
-        modeled = float(np.exp(logprob_exact(probs, outcome)))
+        modeled = float(np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)))
     except DegenerateOutcomeError:
         modeled = 0.0
     return OracleCheck(enumerated, modeled, abs(enumerated - modeled))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from maskgrpo import ProbMatrix, group_advantages
+from maskgrpo import ProbMatrix, TransitionKind, group_advantages
 from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.filtering import Decision, StdHistory, admit
 from maskgrpo.harness import ExperimentConfig, run_d3pm_suite, run_gradcheck, run_verify
@@ -18,11 +18,9 @@ from maskgrpo.transition import (
     StepOutcome,
     cam_select,
     enumerate_next_states,
-    logprob_ar,
-    logprob_exact,
-    logprob_unmasked,
     oracle_check,
     representative_outcome,
+    step_logprob,
 )
 
 SEEDS = (101, 202, 303, 404, 505)
@@ -140,7 +138,8 @@ def test_criterion_2_normalization(instances, tie_instances):
         enum_total = sum(table.values())
         assert abs(enum_total - 1.0) < 1e-10
         model_total = sum(
-            np.exp(logprob_exact(probs, representative_outcome(probs, sig))) for sig in table
+            np.exp(step_logprob(TransitionKind.EXACT, probs, representative_outcome(probs, sig)))
+            for sig in table
         )
         assert abs(model_total - 1.0) < 1e-10
         worst_enum = max(worst_enum, abs(enum_total - 1.0))
@@ -153,9 +152,9 @@ def test_criterion_2_normalization(instances, tie_instances):
 
 def test_criterion_3_ordering_chain(instances, tie_instances):
     for probs, outcome in instances + tie_instances:
-        lp_ar = logprob_ar(probs, outcome)
-        lp_exact = logprob_exact(probs, outcome)
-        lp_kept = logprob_unmasked(probs, outcome)
+        lp_ar = step_logprob(TransitionKind.AR_STYLE, probs, outcome)
+        lp_exact = step_logprob(TransitionKind.EXACT, probs, outcome)
+        lp_kept = step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         assert lp_ar <= lp_exact + 1e-12
         assert lp_exact <= lp_kept + 1e-12
         if outcome.chosen.all():

@@ -78,7 +78,7 @@ class TestAdmit:
 
     def test_budget_exhaustion_falls_back_to_accept(self):
         history = self.warmed_history()
-        assert admit(history, 0.0, resamples_used=5) is Decision.ACCEPT
+        assert admit(history, 0.0, resamples_used=5) is Decision.EXHAUSTED
 
     def test_every_generated_group_enters_history_once(self):
         history = self.warmed_history()

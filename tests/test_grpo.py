@@ -25,9 +25,10 @@ from maskgrpo import (
     schedule_cosine,
     train,
 )
-from maskgrpo import grpo
+from maskgrpo import filtering, grpo
 from maskgrpo.grpo import LossPass, active_steps
-from maskgrpo.transition import StepOutcome, step_logprob_upstream
+from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
+from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
 
 
@@ -409,6 +410,36 @@ class TestLossPass:
         for a, b in zip(once.metrics, rebuilt.metrics, strict=True):
             assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
 
+    def test_impossible_exact_terms_score_ratio_zero_with_a_matching_gradient(self):
+        # Away from the rollout's parameters an EXACT step can lose every
+        # token of a remasked row's support.  The pass scores it log p = -inf,
+        # constant nearby, so central differences still match its gradient.
+        group, params = frozen_group(seed=0, n=4, t=2, g=3)
+        config = GrpoConfig(group_size=3, kl_beta=0.5)
+        rng = np.random.default_rng(0)
+        probe = params.copy()
+        probe.params += rng.normal(scale=0.5, size=probe.params.shape)
+        lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
+        ratios = []
+        for traj in group.trajectories:
+            for t, outcome in enumerate(traj.outcomes):
+                probs = policy_forward(probe, traj.states[t], traj.prompt, traj.temperature)
+                assert not _near_selection_boundary(probs, outcome)
+                try:
+                    ratios.append(float(np.exp(step_logprob(traj.kind, probs, outcome) - traj.old_logprobs[t])))
+                except DegenerateOutcomeError:
+                    ratios.append(0.0)
+                assert min(abs(ratios[-1] - lo), abs(ratios[-1] - hi)) > 1e-3
+        assert 0 < ratios.count(0.0) < len(ratios)
+        loss = LossPass([group], params.arch, params, config)
+        probe.zero_grads()
+        objective, stats = loss.evaluate(probe)
+        analytic = -probe.grads.copy()
+        assert np.isfinite(objective) and np.isfinite(analytic).all() and analytic.any()
+        assert stats["mean_ratio"] == pytest.approx(np.mean(ratios), rel=1e-12)
+        numeric = _fd_gradient(lambda: loss.evaluate(probe, compute_grad=False)[0], probe, 1e-5)
+        assert _grad_mismatch(analytic, numeric)[0] < 1e-4
+
 
 class TestGrpoConfig:
     @pytest.mark.parametrize(
@@ -526,6 +557,42 @@ class TestTrain:
         monkeypatch.setattr(grpo, "rollout", rollout_with_a_lost_old_logprob)
         with pytest.raises(FloatingPointError, match=r"^iteration 2: .*trajectory 1, step 2$"):
             train(pattern_setup(iterations=5))
+
+    def test_filtered_groups_count_resampled_and_exhausted_groups(self, caplog, monkeypatch):
+        admit, decisions, per_iteration = filtering.admit, [], []
+
+        def recording_admit(*args):
+            decisions.append(admit(*args))
+            return decisions[-1]
+
+        def on_metrics(row, params):
+            per_iteration.append((row, decisions[:]))
+            decisions.clear()
+
+        monkeypatch.setattr(filtering, "admit", recording_admit)
+        history = StdHistory(percentile=50.0, warmup_min=3, max_resamples=1)
+        setup = dataclasses.replace(pattern_setup(iterations=30), filter_settings=history)
+        with caplog.at_level("WARNING", logger=grpo.__name__):
+            train(setup, on_metrics=on_metrics)
+        warned = [r.getMessage().split(":")[0] for r in caplog.records]
+        exhausted = []
+        for row, made in per_iteration:
+            assert row["resamples"] == made.count(filtering.Decision.RESAMPLE)
+            assert row["filtered_groups"] == len(made) - made.count(filtering.Decision.ACCEPT)
+            if made[-1] is filtering.Decision.EXHAUSTED:
+                exhausted.append(f"iteration {row['iter']}")
+        assert warned == exhausted
+        assert exhausted and sum(row["resamples"] for row, _ in per_iteration) > 0
+
+    @pytest.mark.parametrize("kl_beta", [0.2, 0.0])
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_off_policy_exact_inner_epochs_complete(self, seed, kl_beta):
+        # Default shape, 60 iterations: before impossible steps scored ratio 0,
+        # an inner epoch's update raised DegenerateOutcomeError on seeds 2-7.
+        cfg = ExperimentConfig(iterations=60, seed=seed, kl_beta=kl_beta, inner_epochs=3, eval_rollouts=0)
+        metrics = train(cfg.train_setup()).metrics
+        assert len(metrics) == 60
+        assert all(np.isfinite([row["loss"], row["grad_norm"], row["mean_ratio"]]).all() for row in metrics)
 
     def test_unmask_reduce_schedule_still_covers_canvas(self):
         setup = pattern_setup(iterations=2, reduction=Reduction.unmask_reduce(2))

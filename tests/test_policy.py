@@ -110,7 +110,7 @@ class TestForwardBatch:
         _, params, _, _ = small_setup()
         states, prompts, temps = two_canvas_batch(params)
         batch = policy_forward_batch(params, states, prompts, temps)
-        assert batch.start == [0, 4, 6]
+        assert batch.inputs.start == [0, 4, 6]
         for b in range(2):
             one = policy_forward(params, states[b], prompts[b], temps[b])
             got = batch.probs(b)
@@ -140,8 +140,11 @@ class TestEncodedBatch:
             params.params += rng.normal(scale=0.1, size=params.params.shape)
             got = forward_encoded(params, inputs)
             want = policy_forward_batch(params, states, prompts, temps)
-            for name, a, b in zip(want._fields, got, want):
+            assert got.inputs is inputs
+            for name, a, b in zip(inputs._fields[1:], inputs[1:], want.inputs[1:]):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+            for name in ("hidden", "rows", "log_rows"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_other_architecture_refused(self):
         _, params, prompt, state = small_setup()
@@ -229,7 +232,7 @@ class TestBackward:
         for b in range(2):
             params.zero_grads()
             one = policy_forward_batch(params, [states[b]], [prompts[b]], [temps[b]])
-            policy_backward(params, one, upstream[batch.start[b] : batch.start[b + 1]])
+            policy_backward(params, one, upstream[batch.inputs.start[b] : batch.inputs.start[b + 1]])
             apart += params.grads
         assert np.abs(apart).max() > 0.0
         np.testing.assert_allclose(together, apart, rtol=0, atol=1e-12 * np.abs(apart).max())

@@ -9,9 +9,6 @@ from maskgrpo.transition import (
     StepOutcome,
     cam_select,
     enumerate_next_states,
-    logprob_ar,
-    logprob_exact,
-    logprob_unmasked,
     oracle_check,
     representative_outcome,
     signature_of_outcome,
@@ -48,7 +45,7 @@ def outcome_b(probs):
 
 class TestLogprobValues:
     def test_ar_is_full_confidence_product(self, fixture_f):
-        assert logprob_ar(fixture_f, outcome_a(fixture_f)) == pytest.approx(
+        assert step_logprob(TransitionKind.AR_STYLE, fixture_f, outcome_a(fixture_f)) == pytest.approx(
             np.log(0.35), abs=1e-12
         )
 
@@ -60,7 +57,7 @@ class TestLogprobValues:
             chosen=np.array([True]),
             positions=probs.positions,
         )
-        assert logprob_ar(probs, outcome) == 0.0
+        assert step_logprob(TransitionKind.AR_STYLE, probs, outcome) == 0.0
 
     def test_ar_repeated_half_factor(self):
         k = 5
@@ -71,25 +68,26 @@ class TestLogprobValues:
             chosen=np.ones(k, dtype=bool),
             positions=probs.positions,
         )
-        assert logprob_ar(probs, outcome) == pytest.approx(k * np.log(0.5), abs=1e-12)
+        value = step_logprob(TransitionKind.AR_STYLE, probs, outcome)
+        assert value == pytest.approx(k * np.log(0.5), abs=1e-12)
 
     def test_exact_outcome_a(self, fixture_f):
         # Both tokens of the remasked row lie below 0.7, so its factor is 1.
-        assert logprob_exact(fixture_f, outcome_a(fixture_f)) == pytest.approx(
+        assert step_logprob(TransitionKind.EXACT, fixture_f, outcome_a(fixture_f)) == pytest.approx(
             np.log(0.7), abs=1e-12
         )
 
     def test_exact_outcome_b(self, fixture_f):
         # Only the 0.3 token of the remasked row lies below 0.5.
-        assert logprob_exact(fixture_f, outcome_b(fixture_f)) == pytest.approx(
+        assert step_logprob(TransitionKind.EXACT, fixture_f, outcome_b(fixture_f)) == pytest.approx(
             np.log(0.15), abs=1e-12
         )
 
     def test_unmasked_only_values(self, fixture_f):
-        assert logprob_unmasked(fixture_f, outcome_a(fixture_f)) == pytest.approx(
+        assert step_logprob(TransitionKind.UNMASKED_ONLY, fixture_f, outcome_a(fixture_f)) == pytest.approx(
             np.log(0.7), abs=1e-12
         )
-        assert logprob_unmasked(fixture_f, outcome_b(fixture_f)) == pytest.approx(
+        assert step_logprob(TransitionKind.UNMASKED_ONLY, fixture_f, outcome_b(fixture_f)) == pytest.approx(
             np.log(0.5), abs=1e-12
         )
 
@@ -100,9 +98,9 @@ class TestLogprobValues:
             chosen=np.array([True, True]),
             positions=fixture_f.positions,
         )
-        a = logprob_ar(fixture_f, outcome)
-        b = logprob_exact(fixture_f, outcome)
-        c = logprob_unmasked(fixture_f, outcome)
+        a = step_logprob(TransitionKind.AR_STYLE, fixture_f, outcome)
+        b = step_logprob(TransitionKind.EXACT, fixture_f, outcome)
+        c = step_logprob(TransitionKind.UNMASKED_ONLY, fixture_f, outcome)
         assert a == b == c
 
     def test_zero_confidence_guard(self):
@@ -114,9 +112,9 @@ class TestLogprobValues:
             positions=probs.positions,
         )
         with pytest.raises(DegenerateOutcomeError):
-            logprob_ar(probs, outcome)
+            step_logprob(TransitionKind.AR_STYLE, probs, outcome)
         with pytest.raises(DegenerateOutcomeError):
-            logprob_unmasked(probs, outcome)
+            step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         scorers = (step_logprob, lambda *args: step_logprob_upstream(*args)[0])
         # A zero confidence on a kept row: every kind scores that row.
         for score in scorers:
@@ -162,7 +160,7 @@ class TestLogprobValues:
             positions=probs.positions,
         )
         with pytest.raises(DegenerateOutcomeError):
-            logprob_exact(probs, outcome)
+            step_logprob(TransitionKind.EXACT, probs, outcome)
 
 
 class TestEnumeration:
@@ -218,7 +216,7 @@ class TestOracle:
     def test_exact_sums_to_one_over_signatures(self, fixture_f):
         table = enumerate_next_states(fixture_f, 1)
         total = sum(
-            np.exp(logprob_exact(fixture_f, representative_outcome(fixture_f, sig)))
+            np.exp(step_logprob(TransitionKind.EXACT, fixture_f, representative_outcome(fixture_f, sig)))
             for sig in table
         )
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -272,9 +270,9 @@ class TestOrderingChain:
         outcome = StepOutcome(
             sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
         )
-        lp_ar = logprob_ar(probs, outcome)
-        lp_exact = logprob_exact(probs, outcome)
-        lp_kept = logprob_unmasked(probs, outcome)
+        lp_ar = step_logprob(TransitionKind.AR_STYLE, probs, outcome)
+        lp_exact = step_logprob(TransitionKind.EXACT, probs, outcome)
+        lp_kept = step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         assert lp_ar <= lp_exact + 1e-12
         assert lp_exact <= lp_kept + 1e-12
         if chosen.all():
@@ -327,7 +325,7 @@ class TestUpstreamGradients:
         )
         value, upstream = step_logprob_upstream(TransitionKind.EXACT, probs, outcome)
         assert value == pytest.approx(np.log(0.5 * 0.5 * 1.0), abs=1e-12)
-        assert value == logprob_exact(probs, outcome)
+        assert value == step_logprob(TransitionKind.EXACT, probs, outcome)
         np.testing.assert_allclose(upstream[0], [0.0, 0.6, 0.4])
         np.testing.assert_allclose(upstream[1], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(upstream[2], [0.5, 0.3, 0.2])
@@ -338,7 +336,8 @@ class TestUpstreamGradients:
         sig = signature_of_outcome(outcome_b(fixture_f))
         rep = representative_outcome(fixture_f, sig)
         assert signature_of_outcome(rep) == sig
-        assert logprob_exact(fixture_f, rep) == logprob_exact(fixture_f, outcome_b(fixture_f))
+        want = step_logprob(TransitionKind.EXACT, fixture_f, outcome_b(fixture_f))
+        assert step_logprob(TransitionKind.EXACT, fixture_f, rep) == want
 
 
 def _member(rng, m, k, keep, rows_kind):

@@ -12,8 +12,12 @@ JSON written holds every run (seed, order, correctness, op counts and the
 five end-to-end metrics), per side and workload the median and quartiles of
 each metric, and per workload and metric the change of the median and the
 number of seeds on which the change read better than the parent, by the
-metric's ``better`` direction.  It records both git SHAs, the numpy version,
-its BLAS build and the repeat count.
+metric's ``better`` direction.  Per workload and side it also records the
+count of runs that read ``correct: false`` and the median op count per run,
+and it prints a warning line for every such run as it ends: a trainer that
+runs more iterations in a run can fail the benchmark's checks with
+unchanged outputs.  It records both git SHAs, the numpy version, its BLAS
+build and the repeat count.
 """
 
 from __future__ import annotations
@@ -86,6 +90,9 @@ def main(argv=None) -> int:
                 run = {"seed": seed, "order": position, **run_once(sides[label], workload, seed, seconds)}
                 runs[label][workload].append(run)
                 print(f"{workload} seed {seed} {label}: {json.dumps(run)}", file=sys.stderr, flush=True)
+                if not run["correct"]:
+                    warning = f"warning: {workload} seed {seed} {label} reads correct: false"
+                    print(warning, file=sys.stderr, flush=True)
     record = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}",
         "repeats": len(args.seeds),
@@ -118,6 +125,10 @@ def main(argv=None) -> int:
                 "change_better_pairs": sum(sign * (x - y) > 0 for x, y in zip(a, b)),
                 "pairs": len(a),
             }
+        rows["incorrect_runs"] = {label: sum(not r["correct"] for r in runs[label][w]) for label in labels}
+        rows["ops_per_run_median"] = {
+            label: float(np.median([r["attempted"] for r in runs[label][w]])) for label in labels
+        }
         record["comparison"][w] = rows
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
