@@ -38,11 +38,12 @@ from .policy import (
     PolicyBatch,
     PolicyParams,
     ProbMatrix,
+    encode_batch,
+    forward_encoded,
     init_params,
     load_checkpoint,
     policy_backward,
     policy_forward,
-    policy_forward_batch,
     save_checkpoint,
 )
 from .rewards import reward_count, reward_fn_for, reward_pattern

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import transition
 from .canvas import CanvasState, Prompt, UnmaskSchedule, apply_step
-from .policy import PolicyParams, ProbMatrix, policy_forward_batch
+from .policy import PolicyParams, ProbMatrix, encode_batch, forward_encoded
 from .transition import StepOutcome, cam_select
 
 __all__ = [
@@ -108,9 +108,8 @@ def rollout(
     outcomes: list[list[StepOutcome]] = [[] for _ in seeds]
     old_logprobs = np.zeros((size, schedule.total_steps))
     for t, n_t in enumerate(schedule.counts):
-        batch = policy_forward_batch(
-            params, [member[-1] for member in states], [prompt] * size, [temperature] * size
-        )
+        inputs = encode_batch(arch, [member[-1] for member in states], [prompt] * size, [temperature] * size)
+        batch = forward_encoded(params, inputs)
         for b, rng in enumerate(rngs):
             probs = batch.probs(b)
             outcome = draw_outcome(probs, rng, n_t)

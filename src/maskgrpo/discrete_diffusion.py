@@ -170,14 +170,13 @@ def elbo_terms(
                 w = predicted_x0[t - 1, x_t, x0_hat]
                 if w <= 0.0:
                     continue
-                vec = q_t.q[:, x_t] * qbar_prev[x0_hat, :]
-                total = vec.sum()
-                if total <= 0.0:
+                try:
+                    model += w * reverse_posterior(x_t, x0_hat, q_t, qbar_prev)
+                except ValueError:
                     # Prediction mass on a start state that cannot reach x_t
                     # carries no defined posterior; it simply contributes
                     # nothing (KL stays >= 0 against the submass).
                     continue
-                model += w * (vec / total)
             term += marg_t[x_t] * _kl(true_post, model)
         terms[t - 1] = term
     return terms, float(terms.sum())

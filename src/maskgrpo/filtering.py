@@ -34,14 +34,14 @@ class StdHistory:
     percentile: float = 10.0
     warmup_min: int = 20
     max_resamples: int = 5
-    values: deque = field(default_factory=deque)
+    values: deque = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.percentile < 100.0:
             raise ValueError("percentile must lie in (0, 100)")
         if self.window < 1 or self.warmup_min < 1 or self.max_resamples < 0:
             raise ValueError("invalid filter settings")
-        self.values = deque(self.values, maxlen=self.window)
+        self.values = deque(maxlen=self.window)
 
     def push(self, group_std: float) -> None:
         self.values.append(float(group_std))

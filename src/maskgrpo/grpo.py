@@ -92,10 +92,6 @@ class Reduction:
     train_steps: int = 0
 
     @classmethod
-    def none(cls) -> "Reduction":
-        return cls()
-
-    @classmethod
     def compute_subset(cls, start: int, stop: int) -> "Reduction":
         if start < 0 or stop <= start:
             raise ValueError("subset range must be nonempty and nonnegative")
@@ -119,7 +115,7 @@ class GrpoConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     kind: TransitionKind = TransitionKind.EXACT
-    reduction: Reduction = field(default_factory=Reduction.none)
+    reduction: Reduction = field(default_factory=Reduction)
     temperature: float = 1.0
     iterations: int = 200
     seed: int = 0
@@ -260,10 +256,9 @@ class LossPass:
         self.sampled_p, self.chosen_p = sampled[perm], chosen[perm]
         if ref_batch is not None:
             self.kept_p = self.chosen_p.nonzero()[0]
-            self.ref_rows_p = ref_batch.rows[perm[self.kept_p]]
-            self.kept = chosen.nonzero()[0]
-            self.ref_log_rows = ref_batch.log_rows[self.kept]
-            self.kl_coef = np.repeat(self.norm * config.kl_beta, kept_counts)[:, None]
+            ref_p = perm[self.kept_p]
+            self.ref_rows_p, self.ref_log_rows_p = ref_batch.rows[ref_p], ref_batch.log_rows[ref_p]
+            self.kl_coef_p = np.repeat(self.norm[self.order] * config.kl_beta, kept_counts[self.order])[:, None]
 
     def evaluate(self, params: PolicyParams, compute_grad: bool = True) -> tuple[float, dict]:
         """Objective and statistics at ``params``, as :func:`grpo_loss_and_grad`."""
@@ -317,11 +312,12 @@ class LossPass:
         if compute_grad:
             # Gradient of the negated objective, on each term's rows of the batch.
             coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
-            back = np.empty_like(batch.log_rows)
-            back[perm] = np.repeat((-norm * coef)[self.order], self.lengths)[:, None] * upstream
+            upstream *= np.repeat((-norm * coef)[self.order], self.lengths)[:, None]
             if kl_weighted:
-                kept = self.kept
-                back[kept] += self.kl_coef * (batch.rows[kept] * (batch.log_rows[kept] - self.ref_log_rows))
+                kept = self.kept_p
+                upstream[kept] += self.kl_coef_p * (rows[kept] * (log_rows[kept] - self.ref_log_rows_p))
+            back = np.empty_like(batch.log_rows)
+            back[perm] = upstream
             policy_backward(params, batch, back)
         stats = {
             "mean_ratio": ratio_sum / self.size,
@@ -425,6 +421,8 @@ class TrainSetup:
         if config.reduction.kind is ReductionKind.UNMASK_REDUCE:
             self.train_schedule = self.schedule_for(config.reduction.train_steps)
         active_steps(config.reduction, self.train_schedule.total_steps)  # validate range
+        if self.eval_rollouts < 0:
+            raise ValueError(f"eval_rollouts must be nonnegative, got {self.eval_rollouts}")
         # A field wider than its bits of ``_rollout_stream`` would alias another
         # (iteration, attempt, member) and replay its rollouts.
         for name, value, limit in (
@@ -471,7 +469,6 @@ def evaluate(
 
 def train(
     setup: TrainSetup,
-    init: PolicyParams | None = None,
     on_metrics: Callable[[dict, PolicyParams], None] | None = None,
 ) -> TrainResult:
     """Run the full training loop and return final parameters plus metrics.
@@ -483,11 +480,11 @@ def train(
     the last group.
     """
     config, prompt = setup.config, setup.prompt
-    params = init.copy() if init is not None else init_params(setup.arch, config.seed)
+    params = init_params(setup.arch, config.seed)
     ref_params = params.copy() if config.kl_beta > 0.0 else None
     opt = AdamState.for_params(params)
     # Only the settings are taken, so training leaves ``setup`` as it was.
-    history = dataclasses.replace(setup.filter_settings, values=())
+    history = dataclasses.replace(setup.filter_settings)
     metrics: list[dict] = []
 
     for it in range(config.iterations):
@@ -551,15 +548,7 @@ def train(
         if on_metrics is not None:
             on_metrics(row, params)
 
-    eval_rewards = np.zeros(0)
-    if setup.eval_rollouts > 0:
-        eval_rewards = evaluate(
-            params,
-            prompt,
-            setup.full_schedule,
-            config,
-            setup.reward_fn,
-            setup.eval_rollouts,
-            config.seed,
-        )
+    eval_rewards = evaluate(
+        params, prompt, setup.full_schedule, config, setup.reward_fn, setup.eval_rollouts, config.seed
+    )
     return TrainResult(params=params, metrics=metrics, eval_rewards=eval_rewards)

@@ -34,7 +34,6 @@ from .policy import (
     init_params,
     load_checkpoint,
     policy_backward,
-    policy_forward,
     save_checkpoint,
 )
 from .rewards import reward_fn_for
@@ -106,7 +105,7 @@ class ExperimentConfig:
 
     def reduction_obj(self) -> grpo.Reduction:
         if self.reduction == "none":
-            return grpo.Reduction.none()
+            return grpo.Reduction()
         if self.reduction == "subset":
             return grpo.Reduction.compute_subset(self.subset_start, self.subset_stop)
         return grpo.Reduction.unmask_reduce(self.train_steps)
@@ -204,7 +203,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             or (0 <= cfg.subset_start < cfg.subset_stop <= cfg.steps),
             "subset range must satisfy 0 <= start < stop <= steps",
         ),
-        (cfg.eval_rollouts >= 0, "eval_rollouts must be >= 0"),
         (cfg.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
     ]
     if cfg.reward == "pattern" and cfg.reward_target:
@@ -338,10 +336,15 @@ def cmd_sample(
             raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
     if not 0.0 < temperature < np.inf:
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     params = load_checkpoint(ckpt_path)
     arch = params.arch
-    prompt = _parse_prompt_spec(prompt_spec, arch)
-    sched = SCHEDULES[schedule](steps or min(8, arch.length), arch.length)
+    try:  # a prompt or step count that does not fit the checkpoint's canvas
+        prompt = _parse_prompt_spec(prompt_spec, arch)
+        sched = SCHEDULES[schedule](steps or min(8, arch.length), arch.length)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     freq: Counter = Counter()
     for i in range(count):
         traj = rollout(
@@ -493,7 +496,7 @@ def _near_selection_boundary(probs, outcome) -> bool:
 
 
 def _random_logprob_instance(rng: np.random.Generator):
-    """Generic (params, state, prompt, outcome) away from selection boundaries."""
+    """Generic (params, encoded canvas, outcome) away from selection boundaries."""
     k = int(rng.integers(2, 5))
     n = int(rng.integers(2, 6))
     arch = PolicyArch(length=n, num_categories=k, hidden=6, embed=4)
@@ -506,8 +509,8 @@ def _random_logprob_instance(rng: np.random.Generator):
         if reveal:
             pos = rng.choice(n, size=reveal, replace=False)
             state = apply_step(state, pos, rng.integers(0, k, size=reveal))
-        temperature = 0.5 + rng.random()
-        probs = policy_forward(params, state, prompt, temperature)
+        inputs = encode_batch(arch, [state], [prompt], [0.5 + rng.random()])
+        probs = forward_encoded(params, inputs).probs(0)
         sampled, confs = sample_step(probs, rng)
         m = probs.num_rows
         n_keep = int(rng.integers(1, m + 1))
@@ -521,7 +524,7 @@ def _random_logprob_instance(rng: np.random.Generator):
         below_mass = np.where(remasked_rows < confs[chosen].min(), remasked_rows, 0.0).sum(axis=1)
         if remasked_rows.size and np.any(below_mass < 1e-5):
             continue  # nearly-empty below-threshold mass
-        return params, state, prompt, temperature, outcome
+        return params, inputs, outcome
 
 
 def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
@@ -540,8 +543,7 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
     total_terms = 0
     for kind in TransitionKind:
         for _ in range(trials):
-            params, state, prompt, temperature, outcome = _random_logprob_instance(rng)
-            inputs = encode_batch(params.arch, [state], [prompt], [temperature])
+            params, inputs, outcome = _random_logprob_instance(rng)
             batch = forward_encoded(params, inputs)
             _, upstream = transition.step_logprob_upstream(kind, batch.probs(0), outcome)
             params.zero_grads()
@@ -556,15 +558,12 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
 
     for beta in (0.0, 0.5):
         for _ in range(trials):
-            group, params, ref_params, config = _random_objective_instance(rng, beta)
-            loss = grpo.LossPass([group], params.arch, ref_params, config)
+            params, loss = _random_objective_instance(rng, beta)
             params.zero_grads()
             _, stats = loss.evaluate(params)
             analytic = -params.grads.copy()  # accumulated gradient is of -objective
-            clipped_terms += round(
-                stats["clip_frac"] * config.group_size * group.trajectories[0].total_steps
-            )
-            total_terms += config.group_size * group.trajectories[0].total_steps
+            clipped_terms += round(stats["clip_frac"] * loss.size)
+            total_terms += loss.size
 
             def objective() -> float:
                 return loss.evaluate(params, compute_grad=False)[0]
@@ -580,7 +579,8 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
 
 
 def _random_objective_instance(rng: np.random.Generator, beta: float):
-    """Frozen rollout batch at a generic point of the surrogate objective."""
+    """Parameters and the loss pass of a frozen rollout batch, at a generic
+    point of the surrogate objective."""
     k, n, t, g = 3, 4, 2, 3
     arch = PolicyArch(length=n, num_categories=k, hidden=4, embed=2)
     kind = list(TransitionKind)[int(rng.integers(0, 3))]
@@ -620,25 +620,27 @@ def _random_objective_instance(rng: np.random.Generator, beta: float):
             rewards=rewards,
             advantages=advantages,
         )
-        if _objective_is_generic(group, params, config):
-            return group, params, ref_params, config
+        loss = grpo.LossPass([group], arch, ref_params, config)
+        if _objective_is_generic(group, params, loss):
+            return params, loss
 
 
-def _objective_is_generic(group, params, config) -> bool:
+def _objective_is_generic(group, params, loss) -> bool:
     margin = 1e-3
-    lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
-    for traj in group.trajectories:
-        for t, outcome in enumerate(traj.outcomes):
-            probs = policy_forward(params, traj.states[t], traj.prompt, traj.temperature)
-            if _near_selection_boundary(probs, outcome):
-                return False
-            try:
-                new_logp = transition.step_logprob(traj.kind, probs, outcome)
-            except transition.DegenerateOutcomeError:
-                return False
-            ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
-            if abs(ratio - lo) < margin or abs(ratio - hi) < margin:
-                return False
+    lo, hi = 1.0 - loss.config.clip_eps, 1.0 + loss.config.clip_eps
+    batch = forward_encoded(params, loss.inputs)
+    for i, (j, t) in enumerate(zip(loss.owners, loss.steps)):
+        traj = group.trajectories[j]
+        probs, outcome = batch.probs(i), traj.outcomes[t]
+        if _near_selection_boundary(probs, outcome):
+            return False
+        try:
+            new_logp = transition.step_logprob(traj.kind, probs, outcome)
+        except transition.DegenerateOutcomeError:
+            return False
+        ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
+        if abs(ratio - lo) < margin or abs(ratio - hi) < margin:
+            return False
     return True
 
 
@@ -735,11 +737,18 @@ def _write_report(out, name: str, header: str, report) -> int:
     return 0 if report.passed else 1
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+
+
 def cmd_verify(trials: int, seed: int, out=None) -> int:
+    _check_trials(trials)
     return _write_report(out or sys.stdout, "verify", f"trials={trials}", run_verify(trials, seed))
 
 
 def cmd_gradcheck(trials: int, seed: int, out=None) -> int:
+    _check_trials(trials)
     header = f"trials={trials} per definition plus objective"
     return _write_report(out or sys.stdout, "gradcheck", header, run_gradcheck(trials, seed))
 

@@ -37,7 +37,6 @@ __all__ = [
     "encode_batch",
     "forward_encoded",
     "policy_forward",
-    "policy_forward_batch",
     "policy_backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -251,22 +250,11 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
     return PolicyBatch(inputs, h, rows, log_rows)
 
 
-def policy_forward_batch(
-    params: PolicyParams,
-    states: Sequence[CanvasState],
-    prompts: Sequence[Prompt],
-    temperatures: Sequence[float],
-) -> PolicyBatch:
-    """Forward pass over canvases ``states[b]`` with ``prompts[b]`` at
-    ``temperatures[b]``, :func:`encode_batch` then :func:`forward_encoded`."""
-    return forward_encoded(params, encode_batch(params.arch, states, prompts, temperatures))
-
-
 def policy_forward(
     params: PolicyParams, state: CanvasState, prompt: Prompt, temperature: float = 1.0
 ) -> ProbMatrix:
     """One tempered softmax row per masked position of one canvas."""
-    return policy_forward_batch(params, [state], [prompt], [temperature]).probs(0)
+    return forward_encoded(params, encode_batch(params.arch, [state], [prompt], [temperature])).probs(0)
 
 
 def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
@@ -278,7 +266,7 @@ def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
     over the whole batch.
     """
     if not isinstance(batch, PolicyBatch):
-        raise ValueError("policy_backward needs the PolicyBatch of policy_forward_batch")
+        raise ValueError("policy_backward needs the PolicyBatch of forward_encoded")
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != batch.log_rows.shape:
         raise ValueError(

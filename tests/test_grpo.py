@@ -231,7 +231,7 @@ class TestLossAndGrad:
         assert obj_kl < obj_plain
 
     @pytest.mark.parametrize("compute_grad", [True, False])
-    @pytest.mark.parametrize("reduction", [Reduction.none(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
     @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_batched_pass_matches_per_state_reference(self, kind, kl_beta, reduction, compute_grad):
@@ -356,7 +356,7 @@ class TestLossAndGrad:
 
 class TestLossPass:
     @pytest.mark.parametrize("compute_grad", [True, False])
-    @pytest.mark.parametrize("reduction", [Reduction.none(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
     @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_evaluate_at_new_params_equals_a_fresh_pass(self, kind, kl_beta, reduction, compute_grad):

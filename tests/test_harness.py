@@ -211,6 +211,27 @@ class TestCmdSample:
         assert main(["sample", "-k", str(ckpt), "-p", "pattern:0,1", "--temperature", raw]) == 2
         assert "error: temperature must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["-T", "9"], "cannot unmask at least one token per step"),
+            (["-T", "-1"], "steps and length must be positive"),
+            (["-p", "pattern:0,x,2,0"], "invalid literal for int()"),
+            (["-p", "count:5,2"], "target token out of range"),
+            (["-p", "pattern:0,1,2,7"], "target token out of range"),
+            (["-p", "count:1,9"], "target count out of range"),
+            (["-n", "-3"], "count must be at least 1"),
+            (["-n", "0"], "count must be at least 1"),
+        ],
+    )
+    def test_options_the_checkpoint_cannot_run_exit_2(self, tmp_path, capsys, option, message):
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(init_params(PolicyArch(length=4, num_categories=4, hidden=8, embed=4), 0), str(ckpt))
+        assert main(["sample", "-k", str(ckpt), "-p", "pattern:0,1,2,3", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
 
 class TestCmdVerify:
     def test_reports_reproducible(self):
@@ -242,6 +263,15 @@ class TestGradcheck:
         lines = capsys.readouterr().out.splitlines()
         assert len([line for line in lines if "(bound " in line]) == bounded
         assert lines[-1] == f"{command[0]}: PASS"
+
+
+    @pytest.mark.parametrize("command", ["verify", "gradcheck"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_exits_2_instead_of_passing(self, capsys, command, trials):
+        assert main([command, "-n", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be at least 1, got {trials}\n"
 
 
 class TestMainEntry:

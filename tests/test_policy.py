@@ -11,7 +11,6 @@ from maskgrpo import (
     load_checkpoint,
     policy_backward,
     policy_forward,
-    policy_forward_batch,
     save_checkpoint,
 )
 from maskgrpo.policy import (
@@ -88,7 +87,7 @@ class TestForward:
     def test_non_finite_temperature_rejected(self, temperature):
         _, params, prompt, state = small_setup()
         with pytest.raises(ValueError, match="temperature must be positive"):
-            policy_forward_batch(params, [state, state], [prompt, prompt], [1.0, temperature])
+            encode_batch(params.arch, [state, state], [prompt, prompt], [1.0, temperature])
 
     def test_non_finite_logits_rejected(self):
         _, params, prompt, state = small_setup()
@@ -109,7 +108,7 @@ class TestForwardBatch:
     def test_rows_match_single_canvas_forwards(self):
         _, params, _, _ = small_setup()
         states, prompts, temps = two_canvas_batch(params)
-        batch = policy_forward_batch(params, states, prompts, temps)
+        batch = forward_encoded(params, encode_batch(params.arch, states, prompts, temps))
         assert batch.inputs.start == [0, 4, 6]
         for b in range(2):
             one = policy_forward(params, states[b], prompts[b], temps[b])
@@ -120,15 +119,15 @@ class TestForwardBatch:
     def test_mismatched_lengths_rejected(self):
         _, params, prompt, state = small_setup()
         with pytest.raises(ValueError, match="one prompt and one temperature"):
-            policy_forward_batch(params, [state, state], [prompt], [1.0, 1.0])
+            encode_batch(params.arch, [state, state], [prompt], [1.0, 1.0])
         with pytest.raises(ValueError, match="one prompt and one temperature"):
-            policy_forward_batch(params, [], [], [])
+            encode_batch(params.arch, [], [], [])
 
     def test_complete_canvas_in_a_batch_rejected(self):
         _, params, prompt, state = small_setup()
         full = apply_step(state, [0, 1, 2, 3], [0, 0, 0, 0])
         with pytest.raises(ValueError, match="no masked positions"):
-            policy_forward_batch(params, [state, full], [prompt, prompt], [1.0, 1.0])
+            encode_batch(params.arch, [state, full], [prompt, prompt], [1.0, 1.0])
 
 class TestEncodedBatch:
     def test_layers_rerun_at_new_params_equal_a_fresh_forward(self):
@@ -139,7 +138,7 @@ class TestEncodedBatch:
         for _ in range(3):
             params.params += rng.normal(scale=0.1, size=params.params.shape)
             got = forward_encoded(params, inputs)
-            want = policy_forward_batch(params, states, prompts, temps)
+            want = forward_encoded(params, encode_batch(params.arch, states, prompts, temps))
             assert got.inputs is inputs
             for name, a, b in zip(inputs._fields[1:], inputs[1:], want.inputs[1:]):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
@@ -184,9 +183,8 @@ class TestFromRows:
 class TestBackward:
     def test_zero_upstream_leaves_grads_untouched(self):
         _, params, prompt, state = small_setup()
-        policy_backward(
-            params, policy_forward_batch(params, [state], [prompt], [1.0]), np.zeros((4, 3))
-        )
+        batch = forward_encoded(params, encode_batch(params.arch, [state], [prompt], [1.0]))
+        policy_backward(params, batch, np.zeros((4, 3)))
         assert not params.grads.any()
 
     def test_zero_params_closed_form(self):
@@ -201,14 +199,15 @@ class TestBackward:
         state = CanvasState.all_masked(1, 2)
         prompt = Prompt.pattern_match([0], 2, 4)
         upstream = np.array([[1.0, 0.0]])
-        policy_backward(params, policy_forward_batch(params, [state], [prompt], [1.0]), upstream)
+        batch = forward_encoded(params, encode_batch(params.arch, [state], [prompt], [1.0]))
+        policy_backward(params, batch, upstream)
         w1, b1, w2, b2 = params._grad_views()
         assert not w1.any() and not b1.any() and not w2.any()
         np.testing.assert_allclose(b2, [0.5, -0.5], atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         _, params, prompt, state = small_setup()
-        batch = policy_forward_batch(params, [state], [prompt], [1.0])
+        batch = forward_encoded(params, encode_batch(params.arch, [state], [prompt], [1.0]))
         with pytest.raises(ValueError):
             policy_backward(params, batch, np.zeros((2, 3)))
 
@@ -217,13 +216,13 @@ class TestBackward:
         # even when its shape matches the upstream.
         _, params, _, _ = small_setup()
         probs = ProbMatrix.from_rows(np.full((4, 3), 1.0 / 3.0))
-        with pytest.raises(ValueError, match="PolicyBatch of policy_forward_batch"):
+        with pytest.raises(ValueError, match="PolicyBatch of forward_encoded"):
             policy_backward(params, probs, np.zeros((4, 3)))
 
     def test_two_canvas_backward_is_the_sum_of_one_canvas_backwards(self):
         _, params, _, _ = small_setup()
         states, prompts, temps = two_canvas_batch(params)
-        batch = policy_forward_batch(params, states, prompts, temps)
+        batch = forward_encoded(params, encode_batch(params.arch, states, prompts, temps))
         upstream = np.random.Generator(np.random.Philox(key=4)).normal(size=batch.log_rows.shape)
         params.zero_grads()
         policy_backward(params, batch, upstream)
@@ -231,7 +230,7 @@ class TestBackward:
         apart = np.zeros_like(together)
         for b in range(2):
             params.zero_grads()
-            one = policy_forward_batch(params, [states[b]], [prompts[b]], [temps[b]])
+            one = forward_encoded(params, encode_batch(params.arch, [states[b]], [prompts[b]], [temps[b]]))
             policy_backward(params, one, upstream[batch.inputs.start[b] : batch.inputs.start[b + 1]])
             apart += params.grads
         assert np.abs(apart).max() > 0.0
@@ -253,7 +252,7 @@ class TestBackward:
             return float((upstream * pm.log_rows).sum())
 
         params.zero_grads()
-        batch = policy_forward_batch(params, [state], [prompt], [temperature])
+        batch = forward_encoded(params, encode_batch(params.arch, [state], [prompt], [temperature]))
         policy_backward(params, batch, upstream)
         analytic = params.grads.copy()
         step = 1e-6

@@ -18,6 +18,12 @@ and it prints a warning line for every such run as it ends: a trainer that
 runs more iterations in a run can fail the benchmark's checks with
 unchanged outputs.  It records both git SHAs, the numpy version, its BLAS
 build and the repeat count.
+
+After the timed runs, every workload runs once more per checkout on the
+first seed as ``bench/run.py --trace 1``.  Its per-layer table is recorded
+with the labels the tracer reported as absent (its ``trace: absent`` line):
+a layer that reads 0 because the program no longer has a function of that
+name is then told apart from one that was never called.
 """
 
 from __future__ import annotations
@@ -45,18 +51,26 @@ def blas_build() -> dict:
     return {lib: {k: v for k, v in info.items() if k in keep} for lib, info in deps.items()}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+ABSENT = "trace: absent, reported as 0: "
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd + ["--trace", "0"], cwd=checkout, capture_output=True, text=True)
+    cmd += ["--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {
+    run = {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+    if trace:
+        absent = next((line[len(ABSENT) :] for line in proc.stderr.splitlines() if line.startswith(ABSENT)), "")
+        run["absent"] = absent.split(", ") if absent else []
+    return run
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -93,8 +107,15 @@ def main(argv=None) -> int:
                 if not run["correct"]:
                     warning = f"warning: {workload} seed {seed} {label} reads correct: false"
                     print(warning, file=sys.stderr, flush=True)
+    traced = {label: {} for label in labels}
+    for workload in workloads:
+        for label in labels:
+            run = {"seed": args.seeds[0], **run_once(sides[label], workload, args.seeds[0], seconds, trace=1)}
+            traced[label][workload] = run
+            print(f"{workload} traced {label}: {json.dumps(run)}", file=sys.stderr, flush=True)
     record = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}",
+        "per_layer_command": f"bench/run.py --trace 1 --seconds {seconds:g}, first seed",
         "repeats": len(args.seeds),
         "seeds": args.seeds,
         "numpy": np.__version__,
@@ -105,7 +126,12 @@ def main(argv=None) -> int:
             label: {
                 "sha": git_sha(sides[label]),
                 "workloads": {
-                    w: {"summary": summarise(rs), "ops_per_run": [r["attempted"] for r in rs], "runs": rs}
+                    w: {
+                        "summary": summarise(rs),
+                        "ops_per_run": [r["attempted"] for r in rs],
+                        "runs": rs,
+                        "per_layer": traced[label][w],
+                    }
                     for w, rs in runs[label].items()
                 },
             }

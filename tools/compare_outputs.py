@@ -3,18 +3,21 @@
 
     python3 tools/compare_outputs.py --parent ../parent --change .
 
-Runs ``maskgrpo train`` in each checkout on five configs, and ``verify -n 300
+Runs ``maskgrpo train`` in each checkout on six configs, ``sample -n 200 -s
+3`` from the checkout's own ``default_seed5`` checkpoint, and ``verify -n 300
 -s 3``, ``gradcheck -n 8 -s 42`` and ``d3pm``, each from the checkout's own
 ``src/`` with BLAS pinned to one thread.  For a train run it compares
 ``metrics.csv`` without its ``wall_ms`` column, the bytes of ``final.ckpt``,
-the exit code and the printed text (output paths masked); for the reports it
-compares the exit code and the printed text.  It prints one line per
-difference and exits 1 when there is any, 0 otherwise.
+the exit code and the printed text (output paths masked); for ``sample`` and
+the reports it compares the exit code and the printed text.  It prints one
+line per difference and exits 1 when there is any, 0 otherwise.
 
 The configs cover the default shape (seed 5, 300 iterations, where one
 iteration exhausts its resample budget), the large shape, AR-style scoring
-with a KL term and inner epochs, kept-only scoring on a step subset, and
-exact scoring on a reduced unmasking schedule with a KL term.
+with a KL term and inner epochs, exact scoring with a KL term and inner
+epochs (off-policy steps that the updated policy cannot reach score
+-inf), kept-only scoring on a step subset, and exact scoring on a reduced
+unmasking schedule with a KL term.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ TRAIN_CONFIGS = {
         "iterations": 40,
     },
     "ar_kl_inner": {"transition": "ar", "kl_beta": 0.2, "inner_epochs": 3, "iterations": 60, "seed": 1},
+    "exact_kl_inner": {"kl_beta": 0.2, "inner_epochs": 3, "iterations": 60, "seed": 5},
     "kept_subset": {
         "transition": "unmasked",
         "reduction": "subset",
@@ -53,6 +57,8 @@ TRAIN_CONFIGS = {
         "seed": 3,
     },
 }
+# The default config's pattern target, i mod K over N=16, K=4.
+SAMPLE_PROMPT = "pattern:" + ",".join(str(i % 4) for i in range(16))
 REPORTS = {
     "verify": ["verify", "-n", "300", "-s", "3"],
     "gradcheck": ["gradcheck", "-n", "8", "-s", "42"],
@@ -95,6 +101,13 @@ def all_outputs(checkout: Path, scratch: Path) -> dict:
     outputs = {}
     for name, keys in TRAIN_CONFIGS.items():
         outputs[f"train {name}"] = train_outputs(checkout, name, keys, scratch)
+    ckpt = scratch / "default_seed5" / "final.ckpt"
+    proc = run_cli(checkout, ["sample", "-k", str(ckpt), "-p", SAMPLE_PROMPT, "-n", "200", "-s", "3"])
+    outputs["sample"] = {
+        "exit code": proc.returncode,
+        "stdout": proc.stdout,
+        "stderr": proc.stderr.replace(str(ckpt), "<ckpt>"),
+    }
     for name, args in REPORTS.items():
         proc = run_cli(checkout, args)
         outputs[name] = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
