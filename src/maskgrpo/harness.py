@@ -338,12 +338,12 @@ def cmd_sample(
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count}")
-    params = load_checkpoint(ckpt_path)
-    arch = params.arch
-    try:  # a prompt or step count that does not fit the checkpoint's canvas
+    try:  # an unreadable checkpoint, or a prompt or step count that does not fit its canvas
+        params = load_checkpoint(ckpt_path)
+        arch = params.arch
         prompt = _parse_prompt_spec(prompt_spec, arch)
         sched = SCHEDULES[schedule](steps or min(8, arch.length), arch.length)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     freq: Counter = Counter()
     for i in range(count):

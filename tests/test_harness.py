@@ -232,6 +232,11 @@ class TestCmdSample:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
 
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["sample", "-k", str(tmp_path / "missing.ckpt"), "-p", "pattern:0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+
 
 class TestCmdVerify:
     def test_reports_reproducible(self):
