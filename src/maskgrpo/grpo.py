@@ -34,6 +34,7 @@ from .decoder import Trajectory, rollout
 from .policy import (
     PolicyArch,
     PolicyParams,
+    _layers,
     encode_batch,
     forward_encoded,
     init_params,
@@ -133,6 +134,7 @@ class GrpoConfig:
             (self.adam_eps > 0.0, "adam_eps", "be positive"),
             (0.0 < self.temperature < math.inf, "temperature", "be finite and positive"),
             (self.iterations >= 0, "iterations", "be nonnegative"),
+            (0 <= self.seed < 2**128, "seed", "lie in [0, 2**128), the keys a Philox stream takes"),
         ):
             if not ok:
                 raise ValueError(f"{name} must {rule}, got {getattr(self, name)!r}")
@@ -264,52 +266,70 @@ class LossPass:
         """Objective and statistics at ``params``, as :func:`grpo_loss_and_grad`."""
         if not self.size:
             return 0.0, {"mean_ratio": 0.0, "clip_frac": 0.0, "mean_kl": 0.0}
+        objective, ratio, kl = self._pass(params.params, params if compute_grad else None)
+        lo, hi = 1.0 - self.config.clip_eps, 1.0 + self.config.clip_eps
+        stats = {
+            "mean_ratio": float(_sum_in_order(ratio)) / self.size,
+            "clip_frac": int(np.count_nonzero((ratio < lo) | (ratio > hi))) / self.size,
+            "mean_kl": float(_sum_in_order(kl)) / self.size,
+        }
+        return float(objective), stats
+
+    def objectives(self, stack: np.ndarray) -> np.ndarray:
+        """The objective at each parameter vector of a ``(C, P)`` stack, each
+        equal to :meth:`evaluate`'s at that vector bit for bit."""
+        return self._pass(stack, None)[0] if self.size else np.zeros(len(stack))
+
+    def _pass(self, vec: np.ndarray, params: PolicyParams | None):
+        """Objective, ratios and KL terms at one parameter vector ``(P,)``, or
+        along the leading copy axis of a ``(C, P)`` stack.  With ``params``
+        (the one vector's owner), also accumulates the gradient of the negated
+        objective into ``params.grads``."""
         config, perm = self.config, self.perm
-        batch = forward_encoded(params, self.inputs)
-        rows, log_rows = batch.rows[perm], batch.log_rows[perm]
-        upstream = np.zeros(rows.shape) if compute_grad else None
-        new_logp = np.empty(self.size)
-        kl = np.zeros(self.size)
+        batch = _layers(vec, self.inputs)
+        rows, log_rows = batch.rows.take(perm, axis=-2), batch.log_rows.take(perm, axis=-2)
+        copies, k = rows.shape[:-2], rows.shape[-1]
+        c = math.prod(copies)
+        upstream = None if params is None else np.zeros(rows.shape)
+        new_logp = np.empty((*copies, self.size))
+        kl = np.zeros((*copies, self.size))
         kl_weighted = config.kl_beta > 0.0
         if kl_weighted:
-            kl_rows = _kl_terms(rows[self.kept_p], self.ref_rows_p)
+            kl_rows = _kl_terms(rows.take(self.kept_p, axis=-2), self.ref_rows_p)
         row = kept_row = 0
         for (kind, m, s), members in self.shapes.items():
             block = slice(row, row + m * len(members))
-            new_logp[members] = transition._score(
+            sampled, chosen = self.sampled_p[block], self.chosen_p[block]
+            if c > 1:  # each copy's steps are further members of one scorer call
+                sampled, chosen = np.tile(sampled, c), np.tile(chosen, c)
+            new_logp[..., members] = transition._score(
                 kind,
-                rows[block],
-                log_rows[block],
-                self.sampled_p[block],
-                self.chosen_p[block],
+                rows[..., block, :].reshape(-1, k),
+                log_rows[..., block, :].reshape(-1, k),
+                sampled,
+                chosen,
                 None,  # an empty EXACT support scores -inf instead of raising
-                len(members),
+                c * len(members),
                 out=None if upstream is None else upstream[block],
-            )
+            ).reshape(*copies, -1)
             if kl_weighted:
-                member_kl = kl_rows[kept_row : kept_row + s * len(members)]
-                kl[members] = member_kl.reshape(len(members), -1).sum(axis=1)
+                member_kl = kl_rows[..., kept_row : kept_row + s * len(members), :]
+                kl[..., members] = member_kl.reshape(*copies, len(members), -1).sum(axis=-1)
             row, kept_row = block.stop, kept_row + s * len(members)
         ratio = np.exp(new_logp - self.old_logp)
         if not np.isfinite(ratio).all():
-            i = np.isfinite(ratio).argmin()
+            i = np.isfinite(ratio).argmin() % self.size
             raise FloatingPointError(
                 f"non-finite importance ratio at trajectory {self.owners[i]}, step {self.steps[i]}"
             )
         adv, norm = self.adv, self.norm
-        lo, hi = 1.0 - config.clip_eps, 1.0 + config.clip_eps
         unclipped = ratio * adv
-        clipped = np.clip(ratio, lo, hi) * adv
+        clipped = np.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps) * adv
         term = np.minimum(unclipped, clipped)
         if kl_weighted:
             term -= config.kl_beta * kl
-        objective = ratio_sum = kl_sum = 0.0
-        # Summed one term at a time in term order: a vectorised sum rounds differently.
-        for x, r, d in zip((norm * term).tolist(), ratio.tolist(), kl.tolist()):
-            objective += x
-            ratio_sum += r
-            kl_sum += d
-        if compute_grad:
+        objective = _sum_in_order(norm * term)
+        if params is not None:
             # Gradient of the negated objective, on each term's rows of the batch.
             coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
             upstream *= np.repeat((-norm * coef)[self.order], self.lengths)[:, None]
@@ -319,12 +339,16 @@ class LossPass:
             back = np.empty_like(batch.log_rows)
             back[perm] = upstream
             policy_backward(params, batch, back)
-        stats = {
-            "mean_ratio": ratio_sum / self.size,
-            "clip_frac": int(np.count_nonzero((ratio < lo) | (ratio > hi))) / self.size,
-            "mean_kl": kl_sum / self.size,
-        }
-        return objective, stats
+        return objective, ratio, kl
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis one term at a time, as a loop from 0.0 would.
+
+    A pairwise (vectorised) sum rounds differently.  Adding 0.0 turns the
+    running sum's -0.0, which a loop from 0.0 never gives, into 0.0.
+    """
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
 def grpo_loss_and_grad(

@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from .policy import (
     CheckpointError,
     PolicyArch,
     PolicyParams,
+    _layers,
     encode_batch,
     forward_encoded,
     init_params,
@@ -472,17 +474,44 @@ LOGPROB_FD_STEP = 1e-6
 OBJECTIVE_FD_STEP = 1e-5
 
 
-def _fd_gradient(fn, params: PolicyParams, step: float) -> np.ndarray:
-    base = params.params.copy()
-    grad = np.zeros_like(base)
-    for i in range(base.size):
-        params.params[i] = base[i] + step
-        hi = fn()
-        params.params[i] = base[i] - step
-        lo = fn()
-        params.params[i] = base[i]
-        grad[i] = (hi - lo) / (2.0 * step)
+# Parameter copies per stacked evaluation: the two perturbations of half as
+# many coordinates.  It bounds the stack's memory; a larger one gains nothing.
+_FD_BLOCK = 64
+
+
+def _fd_gradient(values, base: np.ndarray, step: float) -> np.ndarray:
+    """Central differences at ``base`` of ``values``, which maps a ``(C, P)``
+    stack of parameter vectors to their ``(C,)`` values.
+
+    Coordinate ``i``'s copies hold ``base[i] + step`` and ``base[i] - step``,
+    and each block of at most ``_FD_BLOCK`` copies is one call of ``values``.
+    """
+    grad = np.empty_like(base)
+    for first in range(0, base.size, _FD_BLOCK // 2):
+        coords = np.arange(first, min(first + _FD_BLOCK // 2, base.size))
+        n = coords.size
+        stack = np.tile(base, (2 * n, 1))
+        stack[np.arange(n), coords] = base[coords] + step
+        stack[np.arange(n, 2 * n), coords] = base[coords] - step
+        at = values(stack)
+        grad[coords] = (at[:n] - at[n:]) / (2.0 * step)
     return grad
+
+
+def _step_logprobs(kind: TransitionKind, inputs, outcome: StepOutcome, stack: np.ndarray) -> np.ndarray:
+    """``step_logprob`` of one step at each parameter vector of a ``(C, P)`` stack:
+    one forward and one scorer call, each copy a member of the call."""
+    batch = _layers(stack, inputs)
+    c, k = len(stack), inputs.arch.num_categories
+    return transition._score(
+        kind,
+        batch.rows.reshape(-1, k),
+        batch.log_rows.reshape(-1, k),
+        np.tile(outcome.sampled, c),
+        np.tile(outcome.chosen, c),
+        np.tile(outcome.positions, c),
+        c,
+    )
 
 
 def _near_selection_boundary(probs, outcome) -> bool:
@@ -549,11 +578,8 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
             params.zero_grads()
             policy_backward(params, batch, upstream)
             analytic = params.grads.copy()
-
-            def value() -> float:
-                return transition.step_logprob(kind, forward_encoded(params, inputs).probs(0), outcome)
-
-            rel, diff = _grad_mismatch(analytic, _fd_gradient(value, params, LOGPROB_FD_STEP))
+            fd = _fd_gradient(partial(_step_logprobs, kind, inputs, outcome), params.params, LOGPROB_FD_STEP)
+            rel, diff = _grad_mismatch(analytic, fd)
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
 
     for beta in (0.0, 0.5):
@@ -564,11 +590,7 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
             analytic = -params.grads.copy()  # accumulated gradient is of -objective
             clipped_terms += round(stats["clip_frac"] * loss.size)
             total_terms += loss.size
-
-            def objective() -> float:
-                return loss.evaluate(params, compute_grad=False)[0]
-
-            rel, diff = _grad_mismatch(analytic, _fd_gradient(objective, params, OBJECTIVE_FD_STEP))
+            rel, diff = _grad_mismatch(analytic, _fd_gradient(loss.objectives, params.params, OBJECTIVE_FD_STEP))
             worst, worst_abs = max(worst, rel), max(worst_abs, diff)
     return GradcheckReport(
         trials=trials,
@@ -737,18 +759,20 @@ def _write_report(out, name: str, header: str, report) -> int:
     return 0 if report.passed else 1
 
 
-def _check_trials(trials: int) -> None:
+def _check_run(trials: int, seed: int) -> None:
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must lie in [0, 2**128), the keys a Philox stream takes, got {seed}")
 
 
 def cmd_verify(trials: int, seed: int, out=None) -> int:
-    _check_trials(trials)
+    _check_run(trials, seed)
     return _write_report(out or sys.stdout, "verify", f"trials={trials}", run_verify(trials, seed))
 
 
 def cmd_gradcheck(trials: int, seed: int, out=None) -> int:
-    _check_trials(trials)
+    _check_run(trials, seed)
     header = f"trials={trials} per definition plus objective"
     return _write_report(out or sys.stdout, "gradcheck", header, run_gradcheck(trials, seed))
 

@@ -110,15 +110,17 @@ class PolicyParams:
 
 
 def _views_of(vec: np.ndarray, arch: PolicyArch):
+    """(W1, b1, W2, b2) views into a ``(P,)`` vector, or a ``(C, P)`` stack of them."""
     d, h, o = arch.input_dim, arch.hidden, arch.output_dim
+    lead = vec.shape[:-1]
     i = 0
-    w1 = vec[i : i + d * h].reshape(d, h)
+    w1 = vec[..., i : i + d * h].reshape(*lead, d, h)
     i += d * h
-    b1 = vec[i : i + h]
+    b1 = vec[..., i : i + h]
     i += h
-    w2 = vec[i : i + h * o].reshape(h, o)
+    w2 = vec[..., i : i + h * o].reshape(*lead, h, o)
     i += h * o
-    b2 = vec[i : i + o]
+    b2 = vec[..., i : i + o]
     return w1, b1, w2, b2
 
 
@@ -239,13 +241,25 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
     """
     if inputs.arch is not params.arch and inputs.arch != params.arch:
         raise ValueError("encoded canvases do not match policy architecture")
-    w1, b1, w2, b2 = params._views()
-    h = np.tanh(inputs.features @ w1 + b1)
-    z = ((h @ w2 + b2) / inputs.temperature[:, None]).reshape(-1, params.arch.num_categories)[inputs.index]
+    return _layers(params.params, inputs)
+
+
+def _layers(vec: np.ndarray, inputs: PolicyInputs) -> PolicyBatch:
+    """The layers at one parameter vector ``(P,)`` or at each of a ``(C, P)`` stack.
+
+    A stack gives every array of the batch a leading copy axis: ``hidden``
+    ``(C, B, h)`` and the rows ``(C, R, K)``; copy ``c`` equals the forward
+    at ``vec[c]`` bit for bit.  A non-finite logit in any copy raises.
+    """
+    arch = inputs.arch
+    w1, b1, w2, b2 = _views_of(vec, arch)
+    h = np.tanh(inputs.features @ w1 + b1[..., None, :])
+    z = (h @ w2 + b2[..., None, :]) / inputs.temperature[:, None]
+    z = z.reshape(*vec.shape[:-1], -1, arch.num_categories).take(inputs.index, axis=-2)
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits")
-    z -= z.max(axis=1, keepdims=True)
-    log_rows = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= z.max(axis=-1, keepdims=True)
+    log_rows = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
     return PolicyBatch(inputs, h, rows, log_rows)
 

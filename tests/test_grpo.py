@@ -376,8 +376,8 @@ class TestLossPass:
             assert params.grads.any() == compute_grad
 
     def test_sees_in_place_edits_of_the_parameters(self):
-        # The finite-difference probes edit one coordinate of ``params.params``
-        # in place between evaluations of one pass.
+        # Inner epochs update ``params.params`` in place between evaluations
+        # of one pass; here one coordinate is edited.
         groups, params, ref_params = two_prompt_groups(TransitionKind.EXACT)
         config = GrpoConfig(group_size=3, kl_beta=0.5)
         loss = LossPass(groups, params.arch, ref_params, config)
@@ -437,8 +437,47 @@ class TestLossPass:
         analytic = -probe.grads.copy()
         assert np.isfinite(objective) and np.isfinite(analytic).all() and analytic.any()
         assert stats["mean_ratio"] == pytest.approx(np.mean(ratios), rel=1e-12)
-        numeric = _fd_gradient(lambda: loss.evaluate(probe, compute_grad=False)[0], probe, 1e-5)
+        numeric = _fd_gradient(loss.objectives, probe.params, 1e-5)
         assert _grad_mismatch(analytic, numeric)[0] < 1e-4
+
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_stacked_objectives_equal_evaluate_at_each_copy(self, kind, kl_beta, reduction):
+        groups, params, ref_params = two_prompt_groups(kind)
+        config = GrpoConfig(group_size=3, kl_beta=kl_beta, reduction=reduction, kind=kind)
+        loss = LossPass(groups, params.arch, ref_params if kl_beta > 0.0 else None, config)
+        rng = np.random.default_rng(2)
+        stack = params.params + rng.normal(scale=0.05, size=(7, params.params.size))
+        got = loss.objectives(stack)
+        assert got.shape == (7,)
+        for c in range(7):
+            params.params[:] = stack[c]
+            assert got[c].tobytes() == np.float64(loss.evaluate(params, compute_grad=False)[0]).tobytes()
+
+    def test_stacked_objectives_score_impossible_exact_terms_ratio_zero_at_every_copy(self):
+        group, params = frozen_group(seed=0, n=4, t=2, g=3)
+        config = GrpoConfig(group_size=3, kl_beta=0.5)
+        loss = LossPass([group], params.arch, params, config)
+        rng = np.random.default_rng(0)
+        probe = params.params + rng.normal(scale=0.5, size=params.params.shape)  # as in the test above
+        stack = probe + rng.normal(scale=1e-6, size=(5, probe.size))
+        objectives, ratio, _ = loss._pass(stack, None)
+        impossible = ratio == 0.0
+        assert np.isfinite(objectives).all() and np.isfinite(ratio).all()
+        assert 0 < impossible[0].sum() < loss.size
+        assert (impossible == impossible[0]).all()
+        assert (loss.objectives(stack) == objectives).all()
+
+    def test_stacked_objectives_name_the_step_of_a_non_finite_ratio(self):
+        groups, params, _ = two_prompt_groups(TransitionKind.EXACT)
+        groups[1].trajectories[2].old_logprobs[1] = -np.inf
+        loss = LossPass(groups, params.arch, None, GrpoConfig(group_size=3))
+        stack = np.tile(params.params, (3, 1))
+        with pytest.raises(FloatingPointError, match=r"^non-finite importance ratio at trajectory 2, step 1$"):
+            loss.evaluate(params)
+        with pytest.raises(FloatingPointError, match=r"^non-finite importance ratio at trajectory 2, step 1$"):
+            loss.objectives(stack)
 
 
 class TestGrpoConfig:
@@ -457,6 +496,8 @@ class TestGrpoConfig:
             ("adam_beta2", float("nan")),
             ("adam_eps", 0.0),
             ("adam_eps", float("nan")),
+            ("seed", -1),
+            ("seed", 2**128),
         ],
     )
     def test_out_of_range_value_is_refused_by_name(self, name, value):

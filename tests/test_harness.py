@@ -5,8 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from maskgrpo import PolicyArch, init_params, load_checkpoint, save_checkpoint
+from maskgrpo import PolicyArch, TransitionKind, init_params, load_checkpoint, save_checkpoint
 from maskgrpo.harness import (
+    _FD_BLOCK,
+    LOGPROB_FD_STEP,
+    OBJECTIVE_FD_STEP,
+    _fd_gradient,
+    _random_logprob_instance,
+    _random_objective_instance,
+    _step_logprobs,
     ConfigError,
     ExperimentConfig,
     cmd_sample,
@@ -17,6 +24,8 @@ from maskgrpo.harness import (
     run_gradcheck,
     run_verify,
 )
+from maskgrpo.policy import forward_encoded
+from maskgrpo.transition import step_logprob
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -170,6 +179,16 @@ class TestCmdTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{key} must" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_keys_exits_2_before_the_header(self, tmp_path, monkeypatch, capsys, seed):
+        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+        out = tmp_path / "run"
+        text = f"seed={seed}\niterations=1\nout_dir={out}\n"
+        assert main(["train", "-c", write_config(tmp_path, text)]) == 2
+        assert not (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"seed must lie in [0, 2**128)" in err
+
 
 class TestCmdSample:
     def test_frequency_summary_on_uniform_policy(self, tmp_path):
@@ -277,6 +296,79 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: trials must be at least 1, got {trials}\n"
+
+
+    @pytest.mark.parametrize("command", ["verify", "gradcheck"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_keys_exits_2(self, capsys, command, seed):
+        assert main([command, "-n", "1", "-s", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: seed must lie in [0, 2**128)") and captured.err.endswith(
+            f"got {seed}\n"
+        )
+
+    def test_largest_seed_runs(self):
+        assert cmd_verify(1, 2**128 - 1, out=io.StringIO()) == 0
+
+
+def per_coordinate_fd(fn, params, step):
+    """The reference finite differences: one coordinate of ``params`` at a
+    time is moved in place and ``fn()`` evaluated in full at each move."""
+    base = params.params.copy()
+    grad = np.zeros_like(base)
+    for i in range(base.size):
+        params.params[i] = base[i] + step
+        hi = fn()
+        params.params[i] = base[i] - step
+        lo = fn()
+        params.params[i] = base[i]
+        grad[i] = (hi - lo) / (2.0 * step)
+    return grad
+
+
+class TestStackedFiniteDifferences:
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_step_logprob_differences_equal_the_per_coordinate_loop(self, kind):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        sizes = set()
+        for _ in range(4):
+            params, inputs, outcome = _random_logprob_instance(rng)
+            sizes.add(params.params.size)
+
+            def value():
+                return step_logprob(kind, forward_encoded(params, inputs).probs(0), outcome)
+
+            want = per_coordinate_fd(value, params, LOGPROB_FD_STEP)
+            stacked = _fd_gradient(
+                lambda stack: _step_logprobs(kind, inputs, outcome, stack), params.params, LOGPROB_FD_STEP
+            )
+            assert stacked.tobytes() == want.tobytes()
+        assert any(p % _FD_BLOCK for p in sizes)  # a last block shorter than the cap
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_objective_differences_equal_the_per_coordinate_loop(self, beta):
+        rng = np.random.Generator(np.random.Philox(key=6))
+        for _ in range(3):
+            params, loss = _random_objective_instance(rng, beta)
+            assert params.params.size % _FD_BLOCK != 0
+            want = per_coordinate_fd(
+                lambda: loss.evaluate(params, compute_grad=False)[0], params, OBJECTIVE_FD_STEP
+            )
+            assert _fd_gradient(loss.objectives, params.params, OBJECTIVE_FD_STEP).tobytes() == want.tobytes()
+
+    def test_blocks_stay_within_the_cap(self):
+        calls = []
+
+        def values(stack):
+            calls.append(stack.copy())
+            return stack.sum(axis=1)
+
+        base = np.arange(70, dtype=np.float64)
+        grad = _fd_gradient(values, base, 0.5)
+        assert [len(c) for c in calls] == [64, 64, 12]
+        assert all((np.count_nonzero(c != base, axis=1) == 1).all() for c in calls)
+        np.testing.assert_array_equal(grad, np.ones(70))
 
 
 class TestMainEntry:

@@ -18,6 +18,7 @@ from maskgrpo.policy import (
     BadMagicError,
     TruncatedError,
     VersionError,
+    _layers,
     encode_batch,
     forward_encoded,
 )
@@ -144,6 +145,30 @@ class TestEncodedBatch:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
             for name in ("hidden", "rows", "log_rows"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("copies", [1, 5, 64])
+    def test_each_copy_of_a_stacked_forward_equals_forward_encoded(self, copies):
+        _, params, _, _ = small_setup()
+        states, prompts, temps = two_canvas_batch(params)
+        inputs = encode_batch(params.arch, states, prompts, temps)
+        rng = np.random.default_rng(copies)
+        stack = params.params + rng.normal(scale=0.3, size=(copies, params.params.size))
+        got = _layers(stack, inputs)
+        assert got.rows.shape == (copies, 6, 3) and got.hidden.shape == (copies, 2, params.arch.hidden)
+        for c in range(copies):
+            params.params[:] = stack[c]
+            want = forward_encoded(params, inputs)
+            for name in ("hidden", "rows", "log_rows"):
+                assert getattr(got, name)[c].tobytes() == getattr(want, name).tobytes(), (c, name)
+
+    def test_a_non_finite_logit_in_one_copy_of_a_stack_raises(self):
+        _, params, prompt, state = small_setup()
+        inputs = encode_batch(params.arch, [state], [prompt], [1.0])
+        stack = np.tile(params.params, (4, 1))
+        _layers(stack, inputs)
+        stack[2, -1] = np.inf  # one copy's output bias goes bad
+        with pytest.raises(ValueError, match="non-finite logits"):
+            _layers(stack, inputs)
 
     def test_other_architecture_refused(self):
         _, params, prompt, state = small_setup()

@@ -5,7 +5,8 @@
 
 Runs ``maskgrpo train`` in each checkout on six configs, ``sample -n 200 -s
 3`` from the checkout's own ``default_seed5`` checkpoint, and ``verify -n 300
--s 3``, ``gradcheck -n 8 -s 42`` and ``d3pm``, each from the checkout's own
+-s 3``, ``gradcheck -n 8 -s 42``, ``gradcheck -n 100 -s 42`` (the instances
+acceptance criterion 4 checks) and ``d3pm``, each from the checkout's own
 ``src/`` with BLAS pinned to one thread.  For a train run it compares
 ``metrics.csv`` without its ``wall_ms`` column, the bytes of ``final.ckpt``,
 the exit code and the printed text (output paths masked); for ``sample`` and
@@ -62,6 +63,7 @@ SAMPLE_PROMPT = "pattern:" + ",".join(str(i % 4) for i in range(16))
 REPORTS = {
     "verify": ["verify", "-n", "300", "-s", "3"],
     "gradcheck": ["gradcheck", "-n", "8", "-s", "42"],
+    "gradcheck criterion 4": ["gradcheck", "-n", "100", "-s", "42"],
     "d3pm": ["d3pm"],
 }
 
