@@ -480,6 +480,23 @@ class TestLossPass:
             loss.objectives(stack)
 
 
+class TestSumInOrder:
+    def test_equals_a_loop_from_zero_on_every_row(self):
+        rng = np.random.default_rng(0)
+        terms = rng.normal(size=(50, 48)) * 10.0 ** rng.integers(-8, 8, size=(50, 48))
+        terms[0] = -0.0
+        got = grpo._sum_in_order(terms)
+        want = []
+        for row in terms.tolist():
+            total = 0.0
+            for x in row:
+                total += x
+            want.append(total)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert (got != terms.sum(axis=1)).any()  # a pairwise sum would not do
+        assert grpo._sum_in_order(terms[7]).tobytes() == np.float64(want[7]).tobytes()
+
+
 class TestGrpoConfig:
     @pytest.mark.parametrize(
         "name, value",
