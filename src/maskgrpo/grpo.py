@@ -288,8 +288,7 @@ class LossPass:
         config, perm = self.config, self.perm
         batch = _layers(vec, self.inputs)
         rows, log_rows = batch.rows.take(perm, axis=-2), batch.log_rows.take(perm, axis=-2)
-        copies, k = rows.shape[:-2], rows.shape[-1]
-        c = math.prod(copies)
+        copies = rows.shape[:-2]
         upstream = None if params is None else np.zeros(rows.shape)
         new_logp = np.empty((*copies, self.size))
         kl = np.zeros((*copies, self.size))
@@ -299,19 +298,16 @@ class LossPass:
         row = kept_row = 0
         for (kind, m, s), members in self.shapes.items():
             block = slice(row, row + m * len(members))
-            sampled, chosen = self.sampled_p[block], self.chosen_p[block]
-            if c > 1:  # each copy's steps are further members of one scorer call
-                sampled, chosen = np.tile(sampled, c), np.tile(chosen, c)
             new_logp[..., members] = transition._score(
                 kind,
-                rows[..., block, :].reshape(-1, k),
-                log_rows[..., block, :].reshape(-1, k),
-                sampled,
-                chosen,
+                rows[..., block, :],
+                log_rows[..., block, :],
+                self.sampled_p[block],
+                self.chosen_p[block],
                 None,  # an empty EXACT support scores -inf instead of raising
-                c * len(members),
+                len(members),
                 out=None if upstream is None else upstream[block],
-            ).reshape(*copies, -1)
+            )
             if kl_weighted:
                 member_kl = kl_rows[..., kept_row : kept_row + s * len(members), :]
                 kl[..., members] = member_kl.reshape(*copies, len(members), -1).sum(axis=-1)

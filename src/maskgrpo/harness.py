@@ -500,18 +500,11 @@ def _fd_gradient(values, base: np.ndarray, step: float) -> np.ndarray:
 
 def _step_logprobs(kind: TransitionKind, inputs, outcome: StepOutcome, stack: np.ndarray) -> np.ndarray:
     """``step_logprob`` of one step at each parameter vector of a ``(C, P)`` stack:
-    one forward and one scorer call, each copy a member of the call."""
+    one forward and one scorer call over the copy axis."""
     batch = _layers(stack, inputs)
-    c, k = len(stack), inputs.arch.num_categories
     return transition._score(
-        kind,
-        batch.rows.reshape(-1, k),
-        batch.log_rows.reshape(-1, k),
-        np.tile(outcome.sampled, c),
-        np.tile(outcome.chosen, c),
-        np.tile(outcome.positions, c),
-        c,
-    )
+        kind, batch.rows, batch.log_rows, outcome.sampled, outcome.chosen, outcome.positions
+    )[:, 0]
 
 
 def _near_selection_boundary(probs, outcome) -> bool:

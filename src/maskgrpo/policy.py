@@ -101,16 +101,9 @@ class PolicyParams:
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
 
-    def _views(self):
-        """(W1, b1, W2, b2) views into the flat vector, shared memory."""
-        return _views_of(self.params, self.arch)
-
-    def _grad_views(self):
-        return _views_of(self.grads, self.arch)
-
 
 def _views_of(vec: np.ndarray, arch: PolicyArch):
-    """(W1, b1, W2, b2) views into a ``(P,)`` vector, or a ``(C, P)`` stack of them."""
+    """(W1, b1, W2, b2) views into a ``(P,)`` vector or a ``(C, P)`` stack, sharing its memory."""
     d, h, o = arch.input_dim, arch.hidden, arch.output_dim
     lead = vec.shape[:-1]
     i = 0
@@ -294,8 +287,8 @@ def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
     dlogits = np.zeros((b * arch.length, arch.num_categories))
     dlogits[batch.inputs.index] = dz / batch.inputs.temperature[batch.inputs.index // arch.length, None]
     dlogits = dlogits.reshape(b, -1)
-    gw1, gb1, gw2, gb2 = params._grad_views()
-    _, _, w2, _ = params._views()
+    gw1, gb1, gw2, gb2 = _views_of(params.grads, arch)
+    _, _, w2, _ = _views_of(params.params, arch)
     gw2 += batch.hidden.T @ dlogits
     gb2 += dlogits.sum(axis=0)
     dpre = (1.0 - batch.hidden**2) * (dlogits @ w2.T)

@@ -8,9 +8,9 @@ deterministic function of the confidences.
 
 Given the prediction rows for the masked positions and one step's outcome,
 one function, ``_score``, gives the log-probability of the move to the next
-canvas under all three definitions; it scores a stack of steps of one shape
-at once (the loss pass's terms that share a shape), and a single step is
-the stack of one:
+canvas under all three definitions.  One call scores a stack of steps of one
+shape (the loss pass's terms that share a shape) at one parameter vector or
+at each copy of a stacked forward, all copies sharing the outcomes:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
@@ -135,18 +135,18 @@ def _score(
     """Log-probabilities of ``members`` steps of one shape, scored at once.
 
     The steps are stacked as in a :class:`~maskgrpo.policy.PolicyBatch`: each
-    member owns ``M`` consecutive rows of ``rows``/``log_rows`` (``(B*M, K)``)
-    and of ``sampled``, ``chosen`` and ``positions`` (``(B*M,)``), and every
-    member keeps the same number of its rows.  Returns the ``(B,)`` values.
-    With ``out`` (zeros shaped like ``rows``), also writes each step's
-    upstream there: a one-hot at every scored row's sample (all rows for
-    ``AR_STYLE``, the kept ones otherwise) and, for ``EXACT``, each remasked
-    row's probabilities on its support divided by the support's mass.  The
-    caller has checked that the outcomes belong to the rows.  With
-    ``positions=None``, a step with an empty ``EXACT`` support scores
-    ``-inf`` (zero upstream on its empty rows) instead of raising.
+    member owns ``M`` consecutive rows of ``rows``/``log_rows`` (``(..., B*M,
+    K)``, any leading axes being parameter copies) and of the outcomes
+    ``sampled``, ``chosen`` and ``positions`` (``(B*M,)``, shared by the
+    copies); each member keeps as many rows as the others.  Returns ``(...,
+    B)``.  With ``out`` (zeros shaped like copy-free ``rows``), also writes
+    each step's upstream there: a one-hot at every scored row's sample (all
+    rows for ``AR_STYLE``, the kept ones otherwise) and, for ``EXACT``, each
+    remasked row's probabilities on its support over the support's mass.  The
+    outcomes are trusted to belong to the rows.  With ``positions=None``, an
+    empty ``EXACT`` support scores ``-inf`` (zero upstream) instead of raising.
     """
-    k = rows.shape[1]
+    lead, k = rows.shape[:-2], rows.shape[-1]
     if kind is TransitionKind.AR_STYLE:
         scored, tokens = np.arange(sampled.size), sampled
     else:
@@ -155,45 +155,45 @@ def _score(
             raise ValueError("a step must keep at least one position")
         tokens = sampled[scored]
     flat = scored * k + tokens
-    cs = rows.take(flat)
+    cs = rows.reshape(*lead, -1).take(flat, axis=-1)
     if not cs.all():
         raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
-    values = log_rows.take(flat).reshape(members, -1).sum(axis=1)
+    values = log_rows.reshape(*lead, -1).take(flat, axis=-1).reshape(*lead, members, -1).sum(axis=-1)
     if out is not None:
         out.put(flat, 1.0)
     if kind is not TransitionKind.EXACT:
         return values
-    cs = cs.reshape(members, -1)
-    min_cs = np.minimum.reduce(cs, axis=1)
+    cs = cs.reshape(*lead, members, -1)
+    min_cs = np.minimum.reduce(cs, axis=-1)
     remasked = (~chosen).nonzero()[0]
     if remasked.size == 0:
         return values
-    rem = rows.take(remasked, axis=0).reshape(members, -1, k)
-    threshold = min_cs[:, None, None]
+    rem = rows.take(remasked, axis=-2).reshape(*lead, members, -1, k)
+    threshold = min_cs[..., None, None]
     inside = rem < threshold
     tied = rem == threshold
     if tied.any():
         # A tied sample at a row above the last kept row holding ``min_cs``
         # loses the lowest-index tie-break, so it is remasked too.
-        last = np.where(cs == min_cs[:, None], scored.reshape(members, -1), -1).max(axis=1)
-        above = remasked.reshape(members, -1) > last[:, None]
-        inside |= tied & above[:, :, None]
+        last = np.where(cs == min_cs[..., None], scored.reshape(members, -1), -1).max(axis=-1)
+        above = remasked.reshape(members, -1) > last[..., None]
+        inside |= tied & above[..., None]
     support = np.where(inside, rem, 0.0)
-    mass = support.sum(axis=2)
+    mass = support.sum(axis=-1)
     if not mass.all():
         empty = mass <= 0.0
         if positions is not None:
-            b = empty.any(axis=1).argmax()
-            bad = positions[remasked.reshape(members, -1)[b][empty[b]]]
+            b = np.unravel_index(empty.any(axis=-1).argmax(), values.shape)
+            bad = positions[remasked.reshape(members, -1)[b[-1]][empty[b]]]
             raise DegenerateOutcomeError(
                 f"remasked positions {bad.tolist()} have no token mass "
                 f"that ranks below the selection threshold {min_cs[b]!r}"
             )
-        values[empty.any(axis=1)] = -np.inf
+        values[empty.any(axis=-1)] = -np.inf
         mass = np.where(empty, 1.0, mass)
-    values += np.log(mass).sum(axis=1)
+    values += np.log(mass).sum(axis=-1)
     if out is not None:
-        out[remasked] = (support / mass[:, :, None]).reshape(-1, k)
+        out[remasked] = (support / mass[..., None]).reshape(-1, k)
     return values
 
 

@@ -27,6 +27,7 @@ from maskgrpo import (
 )
 from maskgrpo import filtering, grpo
 from maskgrpo.grpo import LossPass, active_steps
+from maskgrpo.policy import _views_of
 from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
 from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
@@ -693,14 +694,14 @@ def reference_backward(params, state, traj, upstream):
     x = np.zeros(arch.input_dim)
     x[np.arange(arch.length) * kp1 + state.tokens] = 1.0
     x[arch.length * kp1 :] = traj.prompt.embedding
-    w1, b1, w2, _ = params._views()
+    w1, b1, w2, _ = _views_of(params.params, arch)
     h = np.tanh(x @ w1 + b1)
     probs = policy_forward(params, state, traj.prompt, traj.temperature)
     dz = upstream - probs.rows * upstream.sum(axis=1, keepdims=True)
     dlogits = np.zeros((arch.length, arch.num_categories))
     dlogits[probs.positions] = dz / traj.temperature
     dflat = dlogits.reshape(-1)
-    gw1, gb1, gw2, gb2 = params._grad_views()
+    gw1, gb1, gw2, gb2 = _views_of(params.grads, arch)
     gw2 += np.outer(h, dflat)
     gb2 += dflat
     dpre = (1.0 - h**2) * (w2 @ dflat)

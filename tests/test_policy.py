@@ -19,6 +19,7 @@ from maskgrpo.policy import (
     TruncatedError,
     VersionError,
     _layers,
+    _views_of,
     encode_batch,
     forward_encoded,
 )
@@ -226,7 +227,7 @@ class TestBackward:
         upstream = np.array([[1.0, 0.0]])
         batch = forward_encoded(params, encode_batch(params.arch, [state], [prompt], [1.0]))
         policy_backward(params, batch, upstream)
-        w1, b1, w2, b2 = params._grad_views()
+        w1, b1, w2, b2 = _views_of(params.grads, arch2)
         assert not w1.any() and not b1.any() and not w2.any()
         np.testing.assert_allclose(b2, [0.5, -0.5], atol=1e-15)
 
