@@ -131,7 +131,7 @@ class GrpoConfig:
             (0.0 < self.learning_rate < math.inf, "learning_rate", "be finite and positive"),
             (0.0 <= self.adam_beta1 < 1.0, "adam_beta1", "lie in [0, 1)"),
             (0.0 <= self.adam_beta2 < 1.0, "adam_beta2", "lie in [0, 1)"),
-            (self.adam_eps > 0.0, "adam_eps", "be positive"),
+            (0.0 < self.adam_eps < math.inf, "adam_eps", "be finite and positive"),
             (0.0 < self.temperature < math.inf, "temperature", "be finite and positive"),
             (self.iterations >= 0, "iterations", "be nonnegative"),
             (0 <= self.seed < 2**128, "seed", "lie in [0, 2**128), the keys a Philox stream takes"),

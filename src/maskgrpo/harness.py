@@ -205,6 +205,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             or (0 <= cfg.subset_start < cfg.subset_stop <= cfg.steps),
             "subset range must satisfy 0 <= start < stop <= steps",
         ),
+        (
+            cfg.reduction == "subset" or cfg.subset_start == cfg.subset_stop == 0,
+            "subset_start and subset_stop are only meaningful with reduction=subset",
+        ),
         (cfg.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
     ]
     if cfg.reward == "pattern" and cfg.reward_target:
@@ -340,6 +344,7 @@ def cmd_sample(
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count}")
+    _check_seed(seed)
     try:  # an unreadable checkpoint, or a prompt or step count that does not fit its canvas
         params = load_checkpoint(ckpt_path)
         arch = params.arch
@@ -752,11 +757,15 @@ def _write_report(out, name: str, header: str, report) -> int:
     return 0 if report.passed else 1
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must lie in [0, 2**128), the keys a Philox stream takes, got {seed}")
+
+
 def _check_run(trials: int, seed: int) -> None:
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    if not 0 <= seed < 2**128:
-        raise ConfigError(f"seed must lie in [0, 2**128), the keys a Philox stream takes, got {seed}")
+    _check_seed(seed)
 
 
 def cmd_verify(trials: int, seed: int, out=None) -> int:

@@ -514,6 +514,7 @@ class TestGrpoConfig:
             ("adam_beta2", float("nan")),
             ("adam_eps", 0.0),
             ("adam_eps", float("nan")),
+            ("adam_eps", float("inf")),
             ("seed", -1),
             ("seed", 2**128),
         ],

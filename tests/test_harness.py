@@ -82,6 +82,18 @@ class TestParseConfig:
                 write_config(tmp_path, "reduction=subset\nsubset_start=5\nsubset_stop=3\n")
             )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "subset_start=2\nsubset_stop=6\n",
+            "subset_stop=6\n",
+            "reduction=unmask\ntrain_steps=4\nsubset_start=1\nsubset_stop=3\n",
+        ],
+    )
+    def test_subset_keys_require_subset_reduction(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="subset_start and subset_stop are only meaningful"):
+            parse_config(write_config(tmp_path, text))
+
     def test_bad_choice_value(self, tmp_path):
         with pytest.raises(ConfigError, match="must be one of"):
             parse_config(write_config(tmp_path, "transition=magic\n"))
@@ -168,6 +180,7 @@ class TestCmdTrain:
             ("adam_beta1", "1.0"),
             ("adam_beta2", "-0.5"),
             ("adam_eps", "0"),
+            ("adam_eps", "inf"),
         ],
     )
     def test_out_of_range_setting_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, key, raw):
@@ -188,6 +201,16 @@ class TestCmdTrain:
         assert not (out / "metrics.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"seed must lie in [0, 2**128)" in err
+
+
+    def test_subset_keys_without_subset_reduction_exit_2_before_the_header(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+        out = tmp_path / "run"
+        text = f"subset_start=2\nsubset_stop=6\niterations=1\nout_dir={out}\n"
+        assert main(["train", "-c", write_config(tmp_path, text)]) == 2
+        assert not (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "only meaningful with reduction=subset" in err
 
 
 class TestCmdSample:
@@ -249,6 +272,15 @@ class TestCmdSample:
         assert main(["sample", "-k", str(ckpt), "-p", "pattern:0,1,2,3", *option]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_keys_exits_2(self, tmp_path, capsys, seed):
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(init_params(PolicyArch(length=4, num_categories=4, hidden=8, embed=4), 0), str(ckpt))
+        assert main(["sample", "-k", str(ckpt), "-p", "pattern:0,1,2,3", "-s", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed must lie in [0, 2**128)" in captured.err
         assert captured.out == ""
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):

@@ -427,3 +427,87 @@ class TestStackedScorer:
             step_logprob(TransitionKind.EXACT, *empty[0])
         with pytest.raises(ValueError, match="keep at least one position"):
             _score_stack(TransitionKind.EXACT, empty)
+
+    @staticmethod
+    def _copies(rng, kind, members, count, rows_kind):
+        """``count`` parameter copies of the stacked rows of ``members``, all
+        scored against the members' outcomes: copy 0 is the members' own rows,
+        and each later copy redraws every row of the same kind, keeping the
+        original row where the redrawn one gives a scored sample probability 0."""
+        probs, outcomes = zip(*members)
+        m, k = probs[0].rows.shape
+        keep = outcomes[0].num_chosen
+        base = np.concatenate([p.rows for p in probs])
+        sampled = np.concatenate([o.sampled for o in outcomes])
+        chosen = np.concatenate([o.chosen for o in outcomes])
+        scored = np.ones_like(chosen) if kind is TransitionKind.AR_STYLE else chosen
+        stack = [base]
+        for _ in range(count - 1):
+            rows = np.concatenate([_member(rng, m, k, keep, rows_kind)[0].rows for _ in members])
+            zero = scored & (rows[np.arange(len(rows)), sampled] == 0.0)
+            rows[zero] = base[zero]
+            stack.append(rows)
+        rows = np.stack(stack)
+        with np.errstate(divide="ignore"):
+            return rows, np.log(rows), sampled, chosen, np.concatenate([p.positions for p in probs])
+
+    @pytest.mark.parametrize("rows_kind", ["random", "tie", "saturated"])
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_copy_axes_equal_separate_calls(self, kind, rows_kind):
+        rng = rng_for_stream(33)
+        for _ in range(30):
+            m, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            keep = int(rng.integers(1, m))
+            members = [_member(rng, m, k, keep, rows_kind) for _ in range(int(rng.integers(1, 5)))]
+            rows, log_rows, sampled, chosen, _ = self._copies(rng, kind, members, 6, rows_kind)
+            # positions=None: an empty EXACT support scores -inf in both.
+            values = transition._score(kind, rows, log_rows, sampled, chosen, None, len(members))
+            assert values.shape == (6, len(members))
+            for c in range(6):
+                alone = transition._score(kind, rows[c], log_rows[c], sampled, chosen, None, len(members))
+                assert values[c].tobytes() == alone.tobytes()
+            grid = (rows.reshape(2, 3, *rows.shape[1:]), log_rows.reshape(2, 3, *rows.shape[1:]))
+            in_grid = transition._score(kind, *grid, sampled, chosen, None, len(members))
+            assert in_grid.shape == (2, 3, len(members)) and in_grid.tobytes() == values.tobytes()
+
+    def _with_empty_supports(self, bad):
+        """Three copies of three ``EXACT`` members keeping one row of three, each
+        copy its members' rows mixed with a different share of the uniform row,
+        and the first remasked row of each (copy, member) in ``bad`` made
+        one-hot at a token above the threshold, so its support has no mass."""
+        rng = rng_for_stream(34)
+        while True:
+            members = [_member(rng, 3, 3, 1, "random") for _ in range(3)]
+            probs, outcomes = zip(*members)
+            base = np.concatenate([p.rows for p in probs])
+            rows = np.stack([(1.0 - w) * base + w / 3 for w in (0.0, 0.1, 0.2)])
+            sampled = np.concatenate([o.sampled for o in outcomes])
+            chosen = np.concatenate([o.chosen for o in outcomes])
+            values = transition._score(TransitionKind.EXACT, rows, np.log(rows), sampled, chosen, None, 3)
+            if np.isfinite(values).all():
+                break
+        for c, b in bad:
+            row = 3 * b + int(np.flatnonzero(~chosen[3 * b : 3 * b + 3])[0])
+            rows[c, row] = np.eye(3)[rows[c, row].argmax()]
+        with np.errstate(divide="ignore"):
+            return rows, np.log(rows), sampled, chosen, np.concatenate([p.positions for p in probs])
+
+    @pytest.mark.parametrize("bad", [[(1, 1)], [(1, 2), (2, 0)], [(0, 2), (2, 1)]])
+    def test_a_degenerate_copy_raises_as_it_does_alone(self, bad):
+        rows, log_rows, sampled, chosen, positions = self._with_empty_supports(bad)
+        first = min(bad)[0]
+        with pytest.raises(DegenerateOutcomeError) as alone:
+            transition._score(TransitionKind.EXACT, rows[first], log_rows[first], sampled, chosen, positions, 3)
+        with pytest.raises(DegenerateOutcomeError) as stacked:
+            transition._score(TransitionKind.EXACT, rows, log_rows, sampled, chosen, positions, 3)
+        assert "no token mass" in str(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("bad", [[(1, 1)], [(1, 2), (2, 0)], [(0, 2), (2, 1)]])
+    def test_without_positions_a_degenerate_copy_scores_minus_inf_there_only(self, bad):
+        rows, log_rows, sampled, chosen, _ = self._with_empty_supports(bad)
+        values = transition._score(TransitionKind.EXACT, rows, log_rows, sampled, chosen, None, 3)
+        want = np.zeros((3, 3), dtype=bool)
+        want[tuple(zip(*bad))] = True
+        assert np.array_equal(values == -np.inf, want)
+        assert np.isfinite(values[~want]).all()
