@@ -202,7 +202,6 @@ class TestCmdTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"seed must lie in [0, 2**128)" in err
 
-
     def test_subset_keys_without_subset_reduction_exit_2_before_the_header(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MASKGRPO_OUT", raising=False)
         out = tmp_path / "run"

@@ -43,12 +43,10 @@ def main(argv=None) -> int:
     if not parent:
         parser.error(f"no modules under {args.parent / PACKAGE}")
     print(f"{'module':<20} {'parent':>6} {'change':>6} {'diff':>6}")
-    names = sorted(change.keys() | parent.keys(), key=lambda m: (-change.get(m, 0), m))
-    for name in names + ["total"]:
-        if name == "total":
-            p, c = sum(parent.values()), sum(change.values())
-        else:
-            p, c = parent.get(name, 0), change.get(name, 0)
+    rows = [(m, parent.get(m, 0), change.get(m, 0)) for m in change.keys() | parent.keys()]
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    rows.append(("total", sum(parent.values()), sum(change.values())))
+    for name, p, c in rows:
         print(f"{name:<20} {p:>6} {c:>6} {c - p:>+6}")
     return 0
 
