@@ -29,8 +29,9 @@ __all__ = [
 
 
 def rng_for_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based stream split: one independent generator per (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(stream)) & ((1 << 128) - 1)))
+    """Counter-based stream split: one independent generator per (seed, stream).
+    Philox refuses a key ``seed ^ stream`` outside ``[0, 2**128)``."""
+    return np.random.Generator(np.random.Philox(key=int(seed) ^ int(stream)))
 
 
 @dataclass

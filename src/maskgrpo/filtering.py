@@ -37,10 +37,14 @@ class StdHistory:
     values: deque = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.percentile < 100.0:
-            raise ValueError("percentile must lie in (0, 100)")
-        if self.window < 1 or self.warmup_min < 1 or self.max_resamples < 0:
-            raise ValueError("invalid filter settings")
+        for ok, name, rule in (
+            (0.0 < self.percentile < 100.0, "percentile", "lie in (0, 100)"),
+            (self.window >= 1, "window", "be at least 1"),
+            (self.warmup_min >= 1, "warmup_min", "be at least 1"),
+            (self.max_resamples >= 0, "max_resamples", "be nonnegative"),
+        ):
+            if not ok:
+                raise ValueError(f"filter {name} must {rule}, got {getattr(self, name)!r}")
         self.values = deque(maxlen=self.window)
 
     def push(self, group_std: float) -> None:

@@ -83,6 +83,14 @@ class ReductionKind(enum.Enum):
     UNMASK_REDUCE = "unmask"
 
 
+# The fields each kind reads; a field its kind does not read must stay 0.
+_REDUCTION_READS = {
+    ReductionKind.NONE: (),
+    ReductionKind.COMPUTE_SUBSET: ("start", "stop"),
+    ReductionKind.UNMASK_REDUCE: ("train_steps",),
+}
+
+
 @dataclass(frozen=True)
 class Reduction:
     """Which steps are scored (subset) or rolled out (reduced schedule)."""
@@ -92,16 +100,22 @@ class Reduction:
     stop: int = 0
     train_steps: int = 0
 
+    def __post_init__(self):
+        for name in ("start", "stop", "train_steps"):
+            value = getattr(self, name)
+            if value and name not in _REDUCTION_READS[self.kind]:
+                raise ValueError(f"reduction {self.kind.value} does not read {name}, got {name}={value!r}")
+        if self.kind is ReductionKind.COMPUTE_SUBSET and not 0 <= self.start < self.stop:
+            raise ValueError(f"subset range must satisfy 0 <= start < stop, got start={self.start}, stop={self.stop}")
+        if self.kind is ReductionKind.UNMASK_REDUCE and self.train_steps < 1:
+            raise ValueError(f"train_steps must be at least 1 with reduction unmask, got {self.train_steps}")
+
     @classmethod
     def compute_subset(cls, start: int, stop: int) -> "Reduction":
-        if start < 0 or stop <= start:
-            raise ValueError("subset range must be nonempty and nonnegative")
         return cls(kind=ReductionKind.COMPUTE_SUBSET, start=start, stop=stop)
 
     @classmethod
     def unmask_reduce(cls, train_steps: int) -> "Reduction":
-        if train_steps < 1:
-            raise ValueError("reduced step count must be positive")
         return cls(kind=ReductionKind.UNMASK_REDUCE, train_steps=train_steps)
 
 
@@ -184,7 +198,7 @@ def active_steps(reduction: Reduction, total_steps: int) -> np.ndarray:
     """Step indices of one trajectory that enter the surrogate objective."""
     if reduction.kind is ReductionKind.COMPUTE_SUBSET:
         if reduction.stop > total_steps:
-            raise ValueError("subset range exceeds the trajectory")
+            raise ValueError(f"subset range stop={reduction.stop} exceeds the {total_steps} steps of the trajectory")
         return np.arange(reduction.start, reduction.stop)
     return np.arange(total_steps)
 
@@ -406,10 +420,11 @@ def adam_step(params: PolicyParams, state: AdamState, config: GrpoConfig) -> Non
     params.zero_grads()
 
 
-# Stream tags keep rollouts and evaluation on disjoint generator keys for one
-# experiment seed.
+# Stream tags keep training rollouts, evaluation and the decodes of
+# ``maskgrpo sample`` on disjoint generator keys for one seed.
 _TAG_ROLLOUT = 2 << 56
 _TAG_EVAL = 3 << 56
+_TAG_DECODE = 4 << 56
 
 
 def _rollout_stream(iteration: int, attempt: int, member: int) -> int:

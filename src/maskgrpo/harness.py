@@ -57,12 +57,33 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
-@dataclass
+_CHOICES = {
+    "schedule": tuple(SCHEDULES),
+    "transition": tuple(k.value for k in TransitionKind),
+    "reduction": tuple(k.value for k in grpo.ReductionKind),
+    "reward": tuple(k.value for k in TaskKind),
+}
+# The keys each option of a choice reads.  A key that only another option
+# reads must keep its default.
+_READS = {
+    "reduction": {"none": (), "subset": ("subset_start", "subset_stop"), "unmask": ("train_steps",)},
+    "reward": {"pattern": ("reward_target",), "count": ("reward_value", "reward_count")},
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of a training run.
+
+    Construction refuses what the run cannot use, whether the settings come
+    from a config file or from Python: the checks below, then those of every
+    object :meth:`train_setup` builds.
+    """
+
     canvas_n: int = 16
     canvas_k: int = 4
     hidden: int = 64
@@ -97,6 +118,31 @@ class ExperimentConfig:
     checkpoint_every: int = 0
     eval_rollouts: int = 16
 
+    def __post_init__(self):
+        for key, options in _CHOICES.items():
+            if getattr(self, key) not in options:
+                raise ConfigError(f"{key} must be one of {', '.join(options)}, got {getattr(self, key)!r}")
+        for key, reads in _READS.items():
+            for option, keys in reads.items():
+                if option != getattr(self, key) and any(getattr(self, k) != _DEFAULTS[k] for k in keys):
+                    verb = "is" if len(keys) == 1 else "are"
+                    raise ConfigError(f"{' and '.join(keys)} {verb} only meaningful with {key}={option}")
+        target = self.target_tokens() if self.reward_target else ()
+        for ok, rule, value in (
+            (self.canvas_n >= 1, "canvas_n must be at least 1", self.canvas_n),
+            (self.canvas_k >= 2, "canvas_k must be at least 2", self.canvas_k),
+            (1 <= self.steps <= self.canvas_n, "steps must satisfy 1 <= steps <= canvas_n", self.steps),
+            (self.train_steps <= self.steps, "train_steps must be at most steps", self.train_steps),
+            (len(target) in (0, self.canvas_n), "reward_target length must equal canvas_n", len(target)),
+            (all(0 <= v < self.canvas_k for v in target), "reward_target tokens must lie in [0, canvas_k)", target),
+            (0 <= self.reward_value < self.canvas_k, "reward_value must lie in [0, canvas_k)", self.reward_value),
+            (-1 <= self.reward_count <= self.canvas_n, "reward_count must lie in [0, canvas_n]", self.reward_count),
+            (self.checkpoint_every >= 0, "checkpoint_every must be nonnegative", self.checkpoint_every),
+        ):
+            if not ok:
+                raise ConfigError(f"{rule}, got {value!r}")
+        self.train_setup()  # the checks of the objects it builds, the trainer's included
+
     def arch(self) -> PolicyArch:
         return PolicyArch(
             length=self.canvas_n,
@@ -106,11 +152,8 @@ class ExperimentConfig:
         )
 
     def reduction_obj(self) -> grpo.Reduction:
-        if self.reduction == "none":
-            return grpo.Reduction()
-        if self.reduction == "subset":
-            return grpo.Reduction.compute_subset(self.subset_start, self.subset_stop)
-        return grpo.Reduction.unmask_reduce(self.train_steps)
+        kind = grpo.ReductionKind(self.reduction)
+        return grpo.Reduction(kind, self.subset_start, self.subset_stop, self.train_steps)
 
     def grpo_config(self) -> grpo.GrpoConfig:
         return grpo.GrpoConfig(
@@ -163,78 +206,7 @@ class ExperimentConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_CHOICES = {
-    "schedule": tuple(SCHEDULES),
-    "transition": tuple(k.value for k in TransitionKind),
-    "reduction": tuple(k.value for k in grpo.ReductionKind),
-    "reward": tuple(k.value for k in TaskKind),
-}
-
-
-def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if key in _CHOICES and raw not in _CHOICES[key]:
-        raise ValueError(f"must be one of {', '.join(_CHOICES[key])}")
-    return raw
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    checks = [
-        (cfg.canvas_n >= 1, "canvas_n must be >= 1"),
-        (cfg.canvas_k >= 2, "canvas_k must be >= 2"),
-        (1 <= cfg.steps <= cfg.canvas_n, "steps must satisfy 1 <= T <= canvas_n"),
-        (
-            cfg.train_steps == 0 or 1 <= cfg.train_steps <= cfg.steps,
-            "train_steps must satisfy 1 <= T_train <= steps",
-        ),
-        (
-            cfg.reduction != "unmask" or cfg.train_steps >= 1,
-            "reduction=unmask requires train_steps",
-        ),
-        (
-            cfg.reduction == "unmask" or cfg.train_steps == 0,
-            "train_steps is only meaningful with reduction=unmask",
-        ),
-        (
-            cfg.reduction != "subset"
-            or (0 <= cfg.subset_start < cfg.subset_stop <= cfg.steps),
-            "subset range must satisfy 0 <= start < stop <= steps",
-        ),
-        (
-            cfg.reduction == "subset" or cfg.subset_start == cfg.subset_stop == 0,
-            "subset_start and subset_stop are only meaningful with reduction=subset",
-        ),
-        (cfg.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
-    ]
-    if cfg.reward == "pattern" and cfg.reward_target:
-        target = cfg.target_tokens()
-        checks.append((len(target) == cfg.canvas_n, "reward_target length must equal canvas_n"))
-        checks.append(
-            (
-                all(0 <= v < cfg.canvas_k for v in target),
-                "reward_target tokens must lie in [0, canvas_k)",
-            )
-        )
-    if cfg.reward == "count":
-        checks.append(
-            (0 <= cfg.reward_value < cfg.canvas_k, "reward_value must lie in [0, canvas_k)")
-        )
-        checks.append(
-            (
-                cfg.reward_count == -1 or 0 <= cfg.reward_count <= cfg.canvas_n,
-                "reward_count must lie in [0, canvas_n]",
-            )
-        )
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    # Surface the range checks of the derived objects, the trainer's included.
-    cfg.train_setup()
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -244,8 +216,7 @@ def parse_config(path: str) -> ExperimentConfig:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = ExperimentConfig()
-    seen: set[str] = set()
+    values = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -254,20 +225,18 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, raw = text.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
-            setattr(cfg, key, _convert(key, raw))
+            values[key] = type(_DEFAULTS[key])(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {exc}") from exc
     try:
-        _validate(cfg)
-    except (ConfigError, ValueError) as exc:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
 
 
 def _fmt(value) -> str:
@@ -360,7 +329,7 @@ def cmd_sample(
             sched,
             TransitionKind(kind),
             temperature=temperature,
-            seed=seed ^ ((4 << 56) | i),
+            seed=seed ^ (grpo._TAG_DECODE | i),
         )
         if i < 5:
             out.write(f"--- rollout {i} ---\n")

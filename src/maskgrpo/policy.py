@@ -60,8 +60,9 @@ class PolicyArch:
     embed: int = 16
 
     def __post_init__(self):
-        if min(self.length, self.hidden, self.embed) < 1 or self.num_categories < 2:
-            raise ValueError("invalid architecture sizes")
+        for name, least in (("length", 1), ("num_categories", 2), ("hidden", 1), ("embed", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
     @property
     def input_dim(self) -> int:

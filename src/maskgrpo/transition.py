@@ -155,20 +155,20 @@ def _score(
             raise ValueError("a step must keep at least one position")
         tokens = sampled[scored]
     flat = scored * k + tokens
-    cs = rows.reshape(*lead, -1).take(flat, axis=-1)
+    cs = rows.reshape(lead + (-1,)).take(flat, axis=-1)
     if not cs.all():
         raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
-    values = log_rows.reshape(*lead, -1).take(flat, axis=-1).reshape(*lead, members, -1).sum(axis=-1)
+    values = log_rows.reshape(lead + (-1,)).take(flat, axis=-1).reshape(lead + (members, -1)).sum(axis=-1)
     if out is not None:
         out.put(flat, 1.0)
     if kind is not TransitionKind.EXACT:
         return values
-    cs = cs.reshape(*lead, members, -1)
+    cs = cs.reshape(lead + (members, -1))
     min_cs = np.minimum.reduce(cs, axis=-1)
     remasked = (~chosen).nonzero()[0]
     if remasked.size == 0:
         return values
-    rem = rows.take(remasked, axis=-2).reshape(*lead, members, -1, k)
+    rem = rows.take(remasked, axis=-2).reshape(lead + (members, -1, k))
     threshold = min_cs[..., None, None]
     inside = rem < threshold
     tied = rem == threshold

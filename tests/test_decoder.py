@@ -123,6 +123,16 @@ class TestRollout:
             assert np.array_equal(oa.sampled, ob.sampled)
             assert np.array_equal(oa.chosen, ob.chosen)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_keys_is_refused(self, seed):
+        # Masking the key to 128 bits decoded seed -1 as seed 2**128 - 1.
+        params, prompt = tiny_policy(n=4, k=3)
+        with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+            rollout(params, prompt, schedule_cosine(2, 4), TransitionKind.EXACT, seed=seed)
+        with pytest.raises(ValueError):
+            rng_for_stream(0, -1)
+        assert rng_for_stream(2**128 - 1).random() == rng_for_stream(2**128 - 2, 1).random()
+
     def test_chosen_counts_follow_schedule(self):
         params, prompt = tiny_policy(n=8, k=3, zero=False)
         sched = schedule_cosine(4, 8)

@@ -60,6 +60,14 @@ class TestThreshold:
         with pytest.raises(ValueError):
             StdHistory(window=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("window", 0), ("warmup_min", 0), ("max_resamples", -1), ("percentile", 100.0), ("percentile", float("nan"))],
+    )
+    def test_refusal_names_the_field_and_value(self, name, value):
+        with pytest.raises(ValueError, match=rf"^filter {name} must .*, got {value!r}$"):
+            StdHistory(**{name: value})
+
 
 class TestAdmit:
     def warmed_history(self):

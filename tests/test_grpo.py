@@ -354,6 +354,24 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             Reduction.compute_subset(2, 2)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            # LossPass divided by an empty subset's zero step count.
+            (dict(kind=grpo.ReductionKind.COMPUTE_SUBSET, start=2, stop=1), "start=2, stop=1"),
+            (dict(kind=grpo.ReductionKind.COMPUTE_SUBSET, start=-2, stop=1), "start=-2"),
+            # A field the kind does not read, silently ignored before.
+            (dict(start=1, stop=3), "reduction none does not read start, got start=1"),
+            (dict(train_steps=2), "reduction none does not read train_steps"),
+            (dict(kind=grpo.ReductionKind.UNMASK_REDUCE, train_steps=2, stop=3), "does not read stop"),
+            (dict(kind=grpo.ReductionKind.COMPUTE_SUBSET, start=0, stop=2, train_steps=2), "train_steps"),
+            (dict(kind=grpo.ReductionKind.UNMASK_REDUCE), "train_steps must be at least 1"),
+        ],
+    )
+    def test_construction_refuses_naming_the_field(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            Reduction(**fields)
+
 
 class TestLossPass:
     @pytest.mark.parametrize("compute_grad", [True, False])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from maskgrpo import PolicyArch, TransitionKind, init_params, load_checkpoint, save_checkpoint
+from maskgrpo import PolicyArch, Prompt, TransitionKind, grpo, init_params, load_checkpoint, rollout, save_checkpoint
+from maskgrpo.canvas import schedule_cosine
+from maskgrpo.decoder import dump_trajectory
 from maskgrpo.harness import (
     _FD_BLOCK,
     LOGPROB_FD_STEP,
@@ -105,6 +108,45 @@ class TestParseConfig:
     def test_reward_target_validation(self, tmp_path):
         with pytest.raises(ConfigError, match="reward_target length"):
             parse_config(write_config(tmp_path, "canvas_n=4\nsteps=4\nreward_target=0,1\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("reward=count\nreward_target=0,1\n", "reward_target is only meaningful with reward=pattern"),
+            ("reward_value=3\n", "reward_value and reward_count are only meaningful with reward=count"),
+            ("reward_count=2\n", "reward_value and reward_count are only meaningful with reward=count"),
+        ],
+    )
+    def test_keys_of_the_other_reward_refused(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"train_steps": 4},
+            {"reward_value": 3},
+            {"reward": "count", "reward_target": "0,1"},
+            {"checkpoint_every": -1},
+            {"reward_target": "0,1"},
+            {"schedule": "linear"},
+            {"reduction": "bogus"},
+            {"reduction": "subset", "subset_start": 5, "subset_stop": 3},
+            {"hidden": 0},
+            {"filter_window": 0},
+        ],
+    )
+    def test_python_construction_refuses_like_the_file(self, tmp_path, keys):
+        with pytest.raises(ValueError) as built:
+            ExperimentConfig(**keys)
+        path = write_config(tmp_path, "".join(f"{k}={v}\n" for k, v in keys.items()))
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(path)
+        assert str(parsed.value) == f"{path}: {built.value}"
+
+    def test_settings_are_fixed_once_checked(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExperimentConfig().train_steps = 4
 
 
 class TestCmdTrain:
@@ -212,7 +254,43 @@ class TestCmdTrain:
         assert err.startswith("error: ") and "only meaningful with reduction=subset" in err
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [("reward=count\nreward_target=0,1\n", "reward_target"), ("reward_value=3\nreward_count=2\n", "reward_value")],
+    )
+    def test_keys_of_the_other_reward_exit_2_before_the_header(self, tmp_path, monkeypatch, capsys, text, key):
+        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+        out = tmp_path / "run"
+        assert main(["train", "-c", write_config(tmp_path, f"{text}iterations=0\nout_dir={out}\n")]) == 2
+        assert not (out / "metrics.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} " in err and "only meaningful with reward=" in err
+
+
 class TestCmdSample:
+    def test_rollouts_decode_on_the_sample_stream_tag(self, tmp_path):
+        # bench/workloads.py mirrors the tag as _TAG_DECODE.
+        assert grpo._TAG_DECODE == 4 << 56
+        assert len({grpo._TAG_ROLLOUT, grpo._TAG_EVAL, grpo._TAG_DECODE}) == 3
+        arch = PolicyArch(length=4, num_categories=3, hidden=8, embed=4)
+        params = init_params(arch, 1)
+        ckpt = tmp_path / "p.ckpt"
+        save_checkpoint(params, str(ckpt))
+        got = io.StringIO()
+        assert cmd_sample(str(ckpt), "pattern:0,1,2,0", 2, steps=2, seed=3, out=got) == 0
+        want = io.StringIO()
+        for i in range(2):
+            want.write(f"--- rollout {i} ---\n")
+            traj = rollout(
+                params,
+                Prompt.pattern_match((0, 1, 2, 0), 3, 4),
+                schedule_cosine(2, 4),
+                TransitionKind.UNMASKED_ONLY,
+                seed=3 ^ (grpo._TAG_DECODE | i),
+            )
+            dump_trajectory(traj, want)
+        assert got.getvalue().startswith(want.getvalue())
+
     def test_frequency_summary_on_uniform_policy(self, tmp_path):
         arch = PolicyArch(length=2, num_categories=2, hidden=8, embed=4)
         params = init_params(arch, 0)

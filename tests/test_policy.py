@@ -33,6 +33,16 @@ def small_setup(seed=123):
     return arch, params, prompt, state
 
 
+class TestArch:
+    @pytest.mark.parametrize(
+        "name, value, least", [("length", 0, 1), ("num_categories", 1, 2), ("hidden", 0, 1), ("embed", 0, 1)]
+    )
+    def test_refusal_names_the_field_and_value(self, name, value, least):
+        sizes = dict(length=4, num_categories=3, hidden=8, embed=4)
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+            PolicyArch(**{**sizes, name: value})
+
+
 class TestForward:
     def test_zero_params_give_uniform_rows(self):
         arch, params, prompt, state = small_setup()

@@ -3,7 +3,7 @@
 
     python3 tools/compare_outputs.py --parent ../parent --change .
 
-Runs ``maskgrpo train`` in each checkout on six configs, ``sample -n 200 -s
+Runs ``maskgrpo train`` in each checkout on seven configs, ``sample -n 200 -s
 3`` from the checkout's own ``default_seed5`` checkpoint, and ``verify -n 300
 -s 3``, ``gradcheck -n 8 -s 42``, ``gradcheck -n 100 -s 42`` (the instances
 acceptance criterion 4 checks) and ``d3pm``, each from the checkout's own
@@ -17,8 +17,8 @@ The configs cover the default shape (seed 5, 300 iterations, where one
 iteration exhausts its resample budget), the large shape, AR-style scoring
 with a KL term and inner epochs, exact scoring with a KL term and inner
 epochs (off-policy steps that the updated policy cannot reach score
--inf), kept-only scoring on a step subset, and exact scoring on a reduced
-unmasking schedule with a KL term.
+-inf), kept-only scoring on a step subset, exact scoring on a reduced unmasking
+schedule with a KL term, and the token-count reward with its own keys.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ TRAIN_CONFIGS = {
         "iterations": 60,
         "seed": 3,
     },
+    "count_reward": {"reward": "count", "reward_value": 2, "reward_count": 5, "iterations": 60, "seed": 4},
 }
 # The default config's pattern target, i mod K over N=16, K=4.
 SAMPLE_PROMPT = "pattern:" + ",".join(str(i % 4) for i in range(16))
