@@ -6,8 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from maskgrpo import PolicyArch, Prompt, TransitionKind, grpo, init_params, load_checkpoint, rollout, save_checkpoint
-from maskgrpo.canvas import schedule_cosine
+from maskgrpo import (
+    PolicyArch,
+    Prompt,
+    TransitionKind,
+    grpo,
+    init_params,
+    load_checkpoint,
+    rollout,
+    save_checkpoint,
+    schedule_cosine,
+)
 from maskgrpo.decoder import dump_trajectory
 from maskgrpo.harness import (
     _FD_BLOCK,
