@@ -101,6 +101,8 @@ class Reduction:
     train_steps: int = 0
 
     def __post_init__(self):
+        if self.kind not in _REDUCTION_READS:
+            raise ValueError(f"kind must be a ReductionKind, got {self.kind!r}")
         for name in ("start", "stop", "train_steps"):
             value = getattr(self, name)
             if value and name not in _REDUCTION_READS[self.kind]:

@@ -67,6 +67,13 @@ _CHOICES = {
     "reduction": tuple(k.value for k in grpo.ReductionKind),
     "reward": tuple(k.value for k in TaskKind),
 }
+
+
+def _check_choice(key: str, value) -> None:
+    if value not in _CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+
+
 # The keys each option of a choice reads.  A key that only another option
 # reads must keep its default.
 _READS = {
@@ -119,9 +126,8 @@ class ExperimentConfig:
     eval_rollouts: int = 16
 
     def __post_init__(self):
-        for key, options in _CHOICES.items():
-            if getattr(self, key) not in options:
-                raise ConfigError(f"{key} must be one of {', '.join(options)}, got {getattr(self, key)!r}")
+        for key in _CHOICES:
+            _check_choice(key, getattr(self, key))
         for key, reads in _READS.items():
             for option, keys in reads.items():
                 if option != getattr(self, key) and any(getattr(self, k) != _DEFAULTS[k] for k in keys):
@@ -306,9 +312,8 @@ def cmd_sample(
     out=None,
 ) -> int:
     out = out or sys.stdout
-    for key, raw in (("schedule", schedule), ("transition", kind)):
-        if raw not in _CHOICES[key]:
-            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
+    _check_choice("schedule", schedule)
+    _check_choice("transition", kind)
     if not 0.0 < temperature < np.inf:
         raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
     if count < 1:

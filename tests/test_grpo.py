@@ -366,6 +366,8 @@ class TestLossAndGrad:
             (dict(kind=grpo.ReductionKind.UNMASK_REDUCE, train_steps=2, stop=3), "does not read stop"),
             (dict(kind=grpo.ReductionKind.COMPUTE_SUBSET, start=0, stop=2, train_steps=2), "train_steps"),
             (dict(kind=grpo.ReductionKind.UNMASK_REDUCE), "train_steps must be at least 1"),
+            # A kind given by its config name was read as NONE.
+            (dict(kind="subset", start=1, stop=2), "kind must be a ReductionKind, got 'subset'"),
         ],
     )
     def test_construction_refuses_naming_the_field(self, fields, match):

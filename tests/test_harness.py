@@ -262,7 +262,6 @@ class TestCmdTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "only meaningful with reduction=subset" in err
 
-
     @pytest.mark.parametrize(
         "text, key",
         [("reward=count\nreward_target=0,1\n", "reward_target"), ("reward_value=3\nreward_count=2\n", "reward_value")],
