@@ -97,6 +97,8 @@ def rollout(
     group, and each member samples from its own seed's stream, so member
     ``j`` is the rollout of ``seed[j]`` alone.
     """
+    if not isinstance(kind, transition.TransitionKind):
+        raise ValueError(f"kind must be a TransitionKind, got {kind!r}")
     arch = params.arch
     if schedule.total_tokens != arch.length:
         raise ValueError("schedule does not cover the canvas")

@@ -140,6 +140,7 @@ class GrpoConfig:
     def __post_init__(self):
         # Every comparison is false for NaN, so each check refuses it too.
         for ok, name, rule in (
+            (isinstance(self.kind, TransitionKind), "kind", "be a TransitionKind"),
             (self.group_size >= 2, "group_size", "be at least 2"),
             (0.0 < self.clip_eps < 1.0, "clip_eps", "lie in (0, 1)"),
             (0.0 <= self.kl_beta < math.inf, "kl_beta", "be finite and nonnegative"),

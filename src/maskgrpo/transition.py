@@ -26,9 +26,9 @@ at each copy of a stacked forward, all copies sharing the outcomes:
   a cheaper surrogate that ignores the remasked factor entirely.
 
 ``enumerate_next_states`` is the independent check: it walks every joint
-sampling, pushes each through ``cam_select``, and accumulates exact
-next-state probabilities.  The ``EXACT`` definition must agree with it to
-float precision, confidence ties included.
+sampling, selects by its own rule (it shares no code with ``cam_select``),
+and sums exact next-state probabilities.  The ``EXACT`` definition must
+agree with it to float precision, confidence ties included.
 
 Gradients treat the support sets and the identity of the minimum-confidence
 kept position as locally constant; that is the almost-everywhere gradient of
@@ -39,7 +39,6 @@ from gradient checks by resampling.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,11 +148,13 @@ def _score(
     lead, k = rows.shape[:-2], rows.shape[-1]
     if kind is TransitionKind.AR_STYLE:
         scored, tokens = np.arange(sampled.size), sampled
-    else:
+    elif kind is TransitionKind.EXACT or kind is TransitionKind.UNMASKED_ONLY:
         scored = chosen.nonzero()[0]
         if kind is TransitionKind.EXACT and scored.size == 0:
             raise ValueError("a step must keep at least one position")
         tokens = sampled[scored]
+    else:
+        raise ValueError(f"kind must be a TransitionKind, got {kind!r}")
     flat = scored * k + tokens
     cs = rows.reshape(lead + (-1,)).take(flat, axis=-1)
     if not cs.all():
@@ -236,57 +237,74 @@ def signature_of_outcome(outcome: StepOutcome) -> NextState:
     return NextState(tuple(int(p) for p in pos[order]), tuple(int(v) for v in vals[order]))
 
 
+# Samplings per block of the enumeration: it bounds the block's arrays (about
+# 3 MB at ``MAX_ENUMERATION``), and a larger block runs no faster.
+_CHUNK = 1 << 12
+
+
 def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState, float]:
     """Exact next-state distribution by brute force over all joint samplings.
 
-    Walks every token assignment to the masked positions, applies the same
-    confidence selection (including its lowest-index tie-break) the decoder
-    applies, and sums joint probabilities by resulting next state.  The
-    returned probabilities sum to 1 up to float accumulation error.
+    Walks every token assignment to the masked positions in
+    ``itertools.product`` order, in blocks of samplings, and drops those of
+    joint probability 0.  The oracle selects by its own rule, written apart
+    from the decoder's ``cam_select``: it keeps the ``num_to_keep`` rows of
+    highest confidence, the lower row first among equal ones.  Each joint
+    probability is the left-to-right product of its confidences, and joint
+    probabilities are added per next state in walk order, so every sum
+    rounds as a sequential walk's would.  Next states appear in the order
+    they are first reached.  The returned probabilities sum to 1 up to float
+    accumulation error.
     """
     rows = probs.rows
     m, k = rows.shape
-    if k**m > MAX_ENUMERATION:
+    total = k**m
+    if total > MAX_ENUMERATION:
         raise ValueError(f"enumeration of {k}**{m} joint samplings exceeds the guard")
     if num_to_keep > m:
         raise ValueError("cannot keep more positions than are masked")
-    out: dict[NextState, float] = {}
-    row_idx = np.arange(m)
-    for combo in itertools.product(range(k), repeat=m):
-        tokens = np.asarray(combo)
+    # A next state is keyed by one digit per row: 0 when the row is remasked,
+    # 1 + its token when it is kept.
+    places, row_idx = k ** np.arange(m - 1, -1, -1), np.arange(m)
+    sums: dict[tuple[int, ...], float] = {}
+    for start in range(0, total, _CHUNK):
+        tokens = np.arange(start, min(start + _CHUNK, total))[:, None] // places % k
         confs = rows[row_idx, tokens]
-        joint = float(confs.prod())
-        if joint == 0.0:
-            continue
-        chosen = cam_select(confs, num_to_keep)
-        pos = probs.positions[chosen]
-        key = NextState(tuple(int(p) for p in pos), tuple(int(v) for v in tokens[chosen]))
-        out[key] = out.get(key, 0.0) + joint
-    return out
+        joint = confs.prod(axis=1)
+        kept = np.zeros(tokens.shape, dtype=bool)
+        kept[np.arange(len(kept))[:, None], np.argsort(-confs, axis=1, kind="stable")[:, :num_to_keep]] = True
+        live = joint != 0.0
+        for key, p in zip(map(tuple, np.where(kept, tokens + 1, 0)[live].tolist()), joint[live].tolist()):
+            sums[key] = sums.get(key, 0.0) + p
+    positions = probs.positions.tolist()
+    return {
+        NextState(tuple(positions[r] for r, d in enumerate(key) if d), tuple(d - 1 for d in key if d)): p
+        for key, p in sums.items()
+    }
+
+
+def _representatives(probs: ProbMatrix, signatures) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled tokens and keep masks, ``(S, m)``, of one outcome per signature.
+
+    Remasked positions are assigned their least likely token.  The
+    ``EXACT`` value of an outcome depends only on its signature, so each
+    outcome scores its signature whatever its remasked samples.
+    """
+    row_of = {int(p): r for r, p in enumerate(probs.positions)}
+    sampled = np.tile(probs.rows.argmin(axis=1).astype(np.int64), (len(signatures), 1))
+    chosen = np.zeros(sampled.shape, dtype=bool)
+    for s, signature in enumerate(signatures):
+        kept = [row_of[p] for p in signature.positions]
+        sampled[s, kept] = signature.values
+        chosen[s, kept] = True
+    return sampled, chosen
 
 
 def representative_outcome(probs: ProbMatrix, signature: NextState) -> StepOutcome:
-    """Build one outcome realising ``signature``.
-
-    Remasked positions are assigned their least likely token.  The
-    ``EXACT`` value of an outcome depends only on its signature, so the
-    constructed outcome scores the signature whatever its remasked samples.
-    """
-    m = probs.num_rows
-    pos_to_row = {int(p): r for r, p in enumerate(probs.positions)}
-    sampled = probs.rows.argmin(axis=1).astype(np.int64)
-    chosen = np.zeros(m, dtype=bool)
-    for p, v in zip(signature.positions, signature.values):
-        row = pos_to_row[p]
-        sampled[row] = v
-        chosen[row] = True
-    confidences = probs.rows[np.arange(m), sampled]
-    return StepOutcome(
-        sampled=sampled,
-        confidences=confidences,
-        chosen=chosen,
-        positions=probs.positions,
-    )
+    """Build one outcome realising ``signature``, as ``_representatives`` does."""
+    (sampled,), (chosen,) = _representatives(probs, [signature])
+    confidences = probs.rows[np.arange(probs.num_rows), sampled]
+    return StepOutcome(sampled=sampled, confidences=confidences, chosen=chosen, positions=probs.positions)
 
 
 class OracleCheck(NamedTuple):

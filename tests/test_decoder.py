@@ -133,6 +133,13 @@ class TestRollout:
             rng_for_stream(0, -1)
         assert rng_for_stream(2**128 - 1).random() == rng_for_stream(2**128 - 2, 1).random()
 
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_kind_given_as_its_string_is_refused(self, kind):
+        # It recorded kept-only log-probs before, whatever the kind named.
+        params, prompt = tiny_policy(n=4, k=3)
+        with pytest.raises(ValueError, match=f"kind must be a TransitionKind, got '{kind.value}'"):
+            rollout(params, prompt, schedule_cosine(2, 4), kind.value, seed=[1, 2])
+
     def test_chosen_counts_follow_schedule(self):
         params, prompt = tiny_policy(n=8, k=3, zero=False)
         sched = schedule_cosine(4, 8)

@@ -537,6 +537,9 @@ class TestGrpoConfig:
             ("adam_eps", float("inf")),
             ("seed", -1),
             ("seed", 2**128),
+            # A kind given as its string was scored as kept-only.
+            ("kind", "ar"),
+            ("kind", "exact"),
         ],
     )
     def test_out_of_range_value_is_refused_by_name(self, name, value):

@@ -23,8 +23,10 @@ from maskgrpo.harness import (
     LOGPROB_FD_STEP,
     OBJECTIVE_FD_STEP,
     _fd_gradient,
+    _model_sum,
     _random_logprob_instance,
     _random_objective_instance,
+    _random_prob_rows,
     _step_logprobs,
     ConfigError,
     ExperimentConfig,
@@ -36,8 +38,8 @@ from maskgrpo.harness import (
     run_gradcheck,
     run_verify,
 )
-from maskgrpo.policy import forward_encoded
-from maskgrpo.transition import step_logprob
+from maskgrpo.policy import ProbMatrix, forward_encoded
+from maskgrpo.transition import enumerate_next_states, representative_outcome, step_logprob
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -152,6 +154,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as parsed:
             parse_config(path)
         assert str(parsed.value) == f"{path}: {built.value}"
+
+    def test_non_integer_reward_target_token_names_the_key(self, tmp_path):
+        message = "reward_target must be comma-separated integers, got '0,x'"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(reward_target="0,x")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, "reward_target=0,x\n"))
 
     def test_settings_are_fixed_once_checked(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -385,6 +394,32 @@ class TestCmdVerify:
     def test_run_verify_passes(self):
         report = run_verify(200, seed=13)
         assert report.passed
+
+
+def loop_model_sum(probs, table):
+    """The reference model sum: one representative and one ``step_logprob`` per
+    next state, added in table order."""
+    total = 0.0
+    for sig in table:
+        total += float(np.exp(step_logprob(TransitionKind.EXACT, probs, representative_outcome(probs, sig))))
+    return total
+
+
+class TestModelSum:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_stacked_sum_equals_the_per_signature_loop(self, seed):
+        # Instances shaped like run_verify's, every fourth with rows
+        # rounded to a small denominator so that confidences tie.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        m, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        rows = _random_prob_rows(rng, m, k)
+        if seed % 4 == 3:
+            denom = int(rng.integers(2, 7))
+            rows = rng.multinomial(denom, np.full(k, 1.0 / k), size=m) / denom
+        probs = ProbMatrix.from_rows(rows)
+        table = enumerate_next_states(probs, int(rng.integers(1, min(2, m) + 1)))
+        want = loop_model_sum(probs, table)
+        assert np.float64(_model_sum(probs, table)).tobytes() == np.float64(want).tobytes()
 
 
 class TestGradcheck:

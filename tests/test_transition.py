@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,17 @@ class TestLogprobValues:
             assert score(TransitionKind.AR_STYLE, probs, outcome) == pytest.approx(np.log(0.5))
             assert score(TransitionKind.UNMASKED_ONLY, probs, outcome) == 0.0
 
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_kind_given_as_its_string_is_refused(self, kind, fixture_f):
+        # The string was scored as kept-only before.
+        outcome = outcome_a(fixture_f)
+        message = f"kind must be a TransitionKind, got '{kind.value}'"
+        for score in (step_logprob, step_logprob_upstream):
+            with pytest.raises(ValueError, match=message):
+                score(kind.value, fixture_f, outcome)
+        with pytest.raises(ValueError, match=message):
+            transition._score(kind.value, fixture_f.rows, fixture_f.log_rows, outcome.sampled, outcome.chosen, None)
+
     def test_exact_zero_mass_below_threshold_guard(self):
         # The remasked row concentrates all mass on one token above the
         # threshold: a measure-zero configuration that must be reported.
@@ -163,7 +176,97 @@ class TestLogprobValues:
             step_logprob(TransitionKind.EXACT, probs, outcome)
 
 
+def walk_next_states(probs, num_to_keep):
+    """The reference enumeration: one Python step per joint sampling, in
+    ``itertools.product`` order, selecting with the decoder's ``cam_select``."""
+    rows = probs.rows
+    m, k = rows.shape
+    out = {}
+    row_idx = np.arange(m)
+    for combo in itertools.product(range(k), repeat=m):
+        tokens = np.asarray(combo, dtype=np.int64)
+        confs = rows[row_idx, tokens]
+        joint = float(confs.prod())
+        if joint == 0.0:
+            continue
+        chosen = cam_select(confs, num_to_keep)
+        pos = probs.positions[chosen]
+        key = NextState(tuple(int(p) for p in pos), tuple(int(v) for v in tokens[chosen]))
+        out[key] = out.get(key, 0.0) + joint
+    return out
+
+
+def _enumeration_instance(rng, rounded):
+    """Random rows, m = 1-7 and k = 2-4, at random increasing positions.  Rounded
+    rows are counts over a small denominator, so confidences tie within and
+    across rows and some tokens have probability 0."""
+    m, k = int(rng.integers(1, 8)), int(rng.integers(2, 5))
+    if rounded:
+        denom = int(rng.integers(2, 7))
+        rows = rng.multinomial(denom, np.full(k, 1.0 / k), size=m) / denom
+    else:
+        raw = rng.gamma(1.0, 1.0, size=(m, k)) + 1e-6
+        rows = raw / raw.sum(axis=1, keepdims=True)
+    positions = np.sort(rng.choice(3 * m, size=m, replace=False))
+    return ProbMatrix.from_rows(rows, positions), int(rng.integers(0, m + 1))
+
+
+def _saturated_rows(m, k):
+    logits = np.zeros((m, k))
+    logits[:, 0] = 40.0
+    rows = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+# The benchmark's two confidence-tie instances: saturated rows whose top
+# token rounds to probability 1, and even rows.
+TIE_SHAPES = [(_saturated_rows(3, 3), 1), (np.full((2, 2), 0.5), 1)]
+
+
+def assert_same_table(probs, num_to_keep):
+    fast = enumerate_next_states(probs, num_to_keep)
+    walk = walk_next_states(probs, num_to_keep)
+    # Keys, first-reached order and every sum's bits.
+    assert list(fast.items()) == list(walk.items())
+    assert np.array(list(fast.values())).tobytes() == np.array(list(walk.values())).tobytes()
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_arrays_equal_the_python_walk(self, seed):
+        rng = rng_for_stream(seed, 3000)
+        for i in range(26):
+            assert_same_table(*_enumeration_instance(rng, rounded=i % 2 == 1))
+
+    @pytest.mark.parametrize("rows, num_to_keep", TIE_SHAPES)
+    def test_benchmark_tie_shapes_equal_the_python_walk(self, rows, num_to_keep):
+        assert_same_table(ProbMatrix.from_rows(rows), num_to_keep)
+
+    def test_blocks_of_samplings_join_as_one_walk(self, monkeypatch):
+        # A block of 7 samplings splits every table below across blocks, and
+        # next states reached again in a later block must add to the sums of
+        # an earlier one, in walk order.
+        monkeypatch.setattr(transition, "_CHUNK", 7)
+        rng = rng_for_stream(9, 3000)
+        for i in range(30):
+            assert_same_table(*_enumeration_instance(rng, rounded=i % 2 == 1))
+        for rows, num_to_keep in TIE_SHAPES:
+            assert_same_table(ProbMatrix.from_rows(rows), num_to_keep)
+
+    @pytest.mark.parametrize(
+        "rows, num_to_keep",
+        [
+            # One sampling; with K = 1 a key of one base-2 digit per row
+            # would overflow int64.
+            (np.ones((70, 1)), 3),
+            (np.ones((4, 1)), 4),
+            # No masked position: one empty next state of probability 1.
+            (np.zeros((0, 3)), 0),
+        ],
+    )
+    def test_degenerate_shapes_equal_the_python_walk(self, rows, num_to_keep):
+        assert_same_table(ProbMatrix.from_rows(rows), num_to_keep)
+
     def test_fixture_f_hand_enumeration(self, fixture_f):
         table = enumerate_next_states(fixture_f, 1)
         assert table[NextState((1,), (0,))] == pytest.approx(0.70, abs=1e-12)
@@ -186,8 +289,10 @@ class TestEnumeration:
 
     def test_enumeration_guard(self):
         probs = ProbMatrix.from_rows(np.full((21, 2), 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the guard"):
             enumerate_next_states(probs, 1)
+        with pytest.raises(ValueError, match="cannot keep more positions"):
+            enumerate_next_states(ProbMatrix.from_rows(np.full((3, 2), 0.5)), 4)
 
 
 class TestOracle:
