@@ -256,8 +256,7 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "rows, num_to_keep",
         [
-            # One sampling; with K = 1 a key of one base-2 digit per row
-            # would overflow int64.
+            # K = 1: one sampling, however many rows.
             (np.ones((70, 1)), 3),
             (np.ones((4, 1)), 4),
             # No masked position: one empty next state of probability 1.
