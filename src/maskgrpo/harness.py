@@ -381,11 +381,11 @@ def _random_prob_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def _model_sum(probs: transition.ProbMatrix, table) -> float:
-    """Sum of the ``EXACT`` probabilities of the next states of ``table``, scored
-    in one stacked ``_score`` call and added left to right in table order."""
-    count = len(table)
-    sampled, chosen = transition._representatives(probs, list(table))
+def _model_sum(probs: transition.ProbMatrix, keys: np.ndarray) -> float:
+    """Sum of the ``EXACT`` probabilities of the next states ``keys``, scored in
+    one stacked ``_score`` call and added left to right in their order."""
+    count = len(keys)
+    sampled, chosen = transition._representatives(probs, keys)
     tiled = [np.tile(a, (count, 1)) for a in (probs.rows, probs.log_rows)]
     values = transition._score(
         TransitionKind.EXACT, *tiled, sampled.ravel(), chosen.ravel(), np.tile(probs.positions, count), count
@@ -414,11 +414,11 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         probs = transition.ProbMatrix.from_rows(_random_prob_rows(rng, m, k))
         outcome = draw_outcome(probs, rng, n_keep)
         lp_exact = transition.step_logprob(TransitionKind.EXACT, probs, outcome)
-        table = transition.enumerate_next_states(probs, n_keep)
-        enumerated = table.get(transition.signature_of_outcome(outcome), 0.0)
+        keys, sums = transition._next_state_arrays(probs, n_keep)
+        enumerated = transition._probability_of(keys, sums, outcome)
         worst_oracle = max(worst_oracle, abs(enumerated - float(np.exp(lp_exact))))
-        worst_enum_sum = max(worst_enum_sum, abs(sum(table.values()) - 1.0))
-        worst_model_sum = max(worst_model_sum, abs(_model_sum(probs, table) - 1.0))
+        worst_enum_sum = max(worst_enum_sum, abs(sum(sums.tolist()) - 1.0))
+        worst_model_sum = max(worst_model_sum, abs(_model_sum(probs, keys) - 1.0))
         lp_ar = transition.step_logprob(TransitionKind.AR_STYLE, probs, outcome)
         lp_kept = transition.step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         # 1e-12 slack absorbs the different float paths of equal-value cases.
@@ -467,26 +467,28 @@ LOGPROB_FD_STEP = 1e-6
 OBJECTIVE_FD_STEP = 1e-5
 
 
-# Parameter copies per stacked evaluation: the two perturbations of half as
-# many coordinates.  It bounds the stack's memory; a larger one gains nothing.
-_FD_BLOCK = 64
+# Bytes of one stacked evaluation's parameter copies.  Its arrays hold up to
+# about four times the stack, so peak RSS sets this: 1-4 calls per instance.
+_FD_BYTES = 1 << 19
 
 
 def _fd_gradient(values, base: np.ndarray, step: float) -> np.ndarray:
     """Central differences at ``base`` of ``values``, which maps a ``(C, P)``
     stack of parameter vectors to their ``(C,)`` values.
 
-    Coordinate ``i``'s copies hold ``base[i] + step`` and ``base[i] - step``,
-    and each block of at most ``_FD_BLOCK`` copies is one call of ``values``.
+    Coordinate ``i``'s copies hold ``base[i] + step`` and ``base[i] - step``;
+    each block of them, within ``_FD_BYTES`` or one coordinate, is one call.
     """
     grad = np.empty_like(base)
-    for first in range(0, base.size, _FD_BLOCK // 2):
-        coords = np.arange(first, min(first + _FD_BLOCK // 2, base.size))
+    per_block = max(1, _FD_BYTES // (2 * base.nbytes))
+    for first in range(0, base.size, per_block):
+        coords = np.arange(first, min(first + per_block, base.size))
         n = coords.size
-        stack = np.tile(base, (2 * n, 1))
+        stack = np.repeat(base[None], 2 * n, axis=0)
         stack[np.arange(n), coords] = base[coords] + step
         stack[np.arange(n, 2 * n), coords] = base[coords] - step
         at = values(stack)
+        del stack  # else it stays alive while the next block's stack is built
         grad[coords] = (at[:n] - at[n:]) / (2.0 * step)
     return grad
 

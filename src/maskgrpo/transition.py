@@ -25,10 +25,10 @@ at each copy of a stacked forward, all copies sharing the outcomes:
 * ``UNMASKED_ONLY`` - product of confidences over the kept positions alone,
   a cheaper surrogate that ignores the remasked factor entirely.
 
-``enumerate_next_states`` is the independent check: it walks every joint
-sampling, selects by its own rule (it shares no code with ``cam_select``),
-and sums exact next-state probabilities.  The ``EXACT`` definition must
-agree with it to float precision, confidence ties included.
+``_next_state_arrays`` (and its dict view ``enumerate_next_states``) is the
+independent check: it walks every joint sampling, selects by its own rule (it
+shares no code with ``cam_select``), and sums exact next-state probabilities.
+The ``EXACT`` definition must agree with it to float precision, ties included.
 
 Gradients treat the support sets and the identity of the minimum-confidence
 kept position as locally constant; that is the almost-everywhere gradient of
@@ -242,19 +242,18 @@ def signature_of_outcome(outcome: StepOutcome) -> NextState:
 _CHUNK = 1 << 12
 
 
-def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState, float]:
+def _next_state_arrays(probs: ProbMatrix, num_to_keep: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact next-state distribution by brute force over all joint samplings.
 
     Walks every token assignment to the masked positions in
     ``itertools.product`` order, in blocks of samplings, and drops those of
     joint probability 0.  The oracle selects by its own rule, written apart
     from the decoder's ``cam_select``: it keeps the ``num_to_keep`` rows of
-    highest confidence, the lower row first among equal ones.  Each joint
-    probability is the left-to-right product of its confidences, and joint
-    probabilities are added per next state in walk order, so every sum
-    rounds as a sequential walk's would.  Next states appear in the order
-    they are first reached.  The returned probabilities sum to 1 up to float
-    accumulation error.
+    highest confidence, the lower row first among equal ones.  Joint
+    probabilities (left-to-right products of confidences) are added per next
+    state in walk order, so every sum rounds as a sequential walk's would.
+    Returns the next states in the order first reached, as ``(S, m)`` digits
+    (0 remasked, 1 + token kept) and their ``(S,)`` probabilities.
     """
     rows = probs.rows
     m, k = rows.shape
@@ -263,8 +262,6 @@ def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState
         raise ValueError(f"enumeration of {k}**{m} joint samplings exceeds the guard")
     if num_to_keep > m:
         raise ValueError("cannot keep more positions than are masked")
-    # A next state is keyed by one digit per row: 0 when the row is remasked,
-    # 1 + its token when it is kept.
     places, row_idx = k ** np.arange(m - 1, -1, -1), np.arange(m)
     sums: dict[tuple[int, ...], float] = {}
     for start in range(0, total, _CHUNK):
@@ -276,33 +273,37 @@ def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState
         live = joint != 0.0
         for key, p in zip(map(tuple, np.where(kept, tokens + 1, 0)[live].tolist()), joint[live].tolist()):
             sums[key] = sums.get(key, 0.0) + p
+    return np.array(list(sums), dtype=np.int64).reshape(len(sums), m), np.array(list(sums.values()))
+
+
+def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState, float]:
+    """The table of :func:`_next_state_arrays` as a dict keyed by signature."""
+    keys, sums = _next_state_arrays(probs, num_to_keep)
     positions = probs.positions.tolist()
     return {
         NextState(tuple(positions[r] for r, d in enumerate(key) if d), tuple(d - 1 for d in key if d)): p
-        for key, p in sums.items()
+        for key, p in zip(keys.tolist(), sums.tolist())
     }
 
 
-def _representatives(probs: ProbMatrix, signatures) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled tokens and keep masks, ``(S, m)``, of one outcome per signature.
+def _probability_of(keys: np.ndarray, sums: np.ndarray, outcome: StepOutcome) -> float:
+    """Probability of ``outcome``'s next state in a table, 0.0 when absent."""
+    hit = (keys == np.where(outcome.chosen, outcome.sampled + 1, 0)).all(axis=1)
+    return sums[hit.argmax()].item() if hit.any() else 0.0
 
-    Remasked positions are assigned their least likely token.  The
-    ``EXACT`` value of an outcome depends only on its signature, so each
-    outcome scores its signature whatever its remasked samples.
-    """
-    row_of = {int(p): r for r, p in enumerate(probs.positions)}
-    sampled = np.tile(probs.rows.argmin(axis=1).astype(np.int64), (len(signatures), 1))
-    chosen = np.zeros(sampled.shape, dtype=bool)
-    for s, signature in enumerate(signatures):
-        kept = [row_of[p] for p in signature.positions]
-        sampled[s, kept] = signature.values
-        chosen[s, kept] = True
-    return sampled, chosen
+
+def _representatives(probs: ProbMatrix, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled tokens and keep masks, ``(S, m)``, of one outcome per next state
+    of ``keys``; a remasked row, which ``EXACT`` ignores, takes its least likely token."""
+    chosen = keys > 0
+    return np.where(chosen, keys - 1, probs.rows.argmin(axis=1)), chosen
 
 
 def representative_outcome(probs: ProbMatrix, signature: NextState) -> StepOutcome:
     """Build one outcome realising ``signature``, as ``_representatives`` does."""
-    (sampled,), (chosen,) = _representatives(probs, [signature])
+    key = np.zeros(probs.num_rows, dtype=np.int64)
+    key[[probs.positions.tolist().index(p) for p in signature.positions]] = np.add(signature.values, 1)
+    (sampled,), (chosen,) = _representatives(probs, key[None])
     confidences = probs.rows[np.arange(probs.num_rows), sampled]
     return StepOutcome(sampled=sampled, confidences=confidences, chosen=chosen, positions=probs.positions)
 
@@ -315,10 +316,9 @@ class OracleCheck(NamedTuple):
 
 def oracle_check(probs: ProbMatrix, outcome) -> OracleCheck:
     """Compare the closed-form exact definition against brute-force enumeration."""
-    table = enumerate_next_states(probs, outcome.num_chosen)
-    enumerated = table.get(signature_of_outcome(outcome), 0.0)
     try:
         modeled = float(np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)))
     except DegenerateOutcomeError:
         modeled = 0.0
+    enumerated = _probability_of(*_next_state_arrays(probs, outcome.num_chosen), outcome)
     return OracleCheck(enumerated, modeled, abs(enumerated - modeled))

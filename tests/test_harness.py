@@ -11,15 +11,16 @@ from maskgrpo import (
     Prompt,
     TransitionKind,
     grpo,
+    harness,
     init_params,
     load_checkpoint,
     rollout,
     save_checkpoint,
     schedule_cosine,
+    transition,
 )
 from maskgrpo.decoder import dump_trajectory
 from maskgrpo.harness import (
-    _FD_BLOCK,
     LOGPROB_FD_STEP,
     OBJECTIVE_FD_STEP,
     _fd_gradient,
@@ -417,9 +418,10 @@ class TestModelSum:
             denom = int(rng.integers(2, 7))
             rows = rng.multinomial(denom, np.full(k, 1.0 / k), size=m) / denom
         probs = ProbMatrix.from_rows(rows)
-        table = enumerate_next_states(probs, int(rng.integers(1, min(2, m) + 1)))
-        want = loop_model_sum(probs, table)
-        assert np.float64(_model_sum(probs, table)).tobytes() == np.float64(want).tobytes()
+        n_keep = int(rng.integers(1, min(2, m) + 1))
+        want = loop_model_sum(probs, enumerate_next_states(probs, n_keep))
+        keys, _ = transition._next_state_arrays(probs, n_keep)
+        assert np.float64(_model_sum(probs, keys)).tobytes() == np.float64(want).tobytes()
 
 
 class TestGradcheck:
@@ -479,48 +481,92 @@ def per_coordinate_fd(fn, params, step):
     return grad
 
 
+# A budget of 16 KB splits every instance below into several blocks, the
+# last one short; ``None`` keeps the default, one to four blocks each.
+SMALL_FD_BYTES = 1 << 14
+
+
+def block_sizes(values, sizes):
+    """``values``, recording the copy count of each stack it is called on."""
+
+    def recorded(stack):
+        sizes.append(len(stack))
+        return values(stack)
+
+    return recorded
+
+
+def assert_several_blocks_with_a_short_last_one(sizes, budget):
+    if budget is not None:
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+
+
 class TestStackedFiniteDifferences:
+    @pytest.mark.parametrize("budget", [None, SMALL_FD_BYTES])
     @pytest.mark.parametrize("kind", list(TransitionKind))
-    def test_step_logprob_differences_equal_the_per_coordinate_loop(self, kind):
+    def test_step_logprob_differences_equal_the_per_coordinate_loop(self, kind, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(harness, "_FD_BYTES", budget)
         rng = np.random.Generator(np.random.Philox(key=5))
-        sizes = set()
         for _ in range(4):
             params, inputs, outcome = _random_logprob_instance(rng)
-            sizes.add(params.params.size)
 
             def value():
                 return step_logprob(kind, forward_encoded(params, inputs).probs(0), outcome)
 
             want = per_coordinate_fd(value, params, LOGPROB_FD_STEP)
+            sizes = []
             stacked = _fd_gradient(
-                lambda stack: _step_logprobs(kind, inputs, outcome, stack), params.params, LOGPROB_FD_STEP
+                block_sizes(lambda stack: _step_logprobs(kind, inputs, outcome, stack), sizes),
+                params.params,
+                LOGPROB_FD_STEP,
             )
             assert stacked.tobytes() == want.tobytes()
-        assert any(p % _FD_BLOCK for p in sizes)  # a last block shorter than the cap
+            assert_several_blocks_with_a_short_last_one(sizes, budget)
 
+    @pytest.mark.parametrize("budget", [None, SMALL_FD_BYTES])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_objective_differences_equal_the_per_coordinate_loop(self, beta):
+    def test_objective_differences_equal_the_per_coordinate_loop(self, beta, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(harness, "_FD_BYTES", budget)
         rng = np.random.Generator(np.random.Philox(key=6))
         for _ in range(3):
             params, loss = _random_objective_instance(rng, beta)
-            assert params.params.size % _FD_BLOCK != 0
             want = per_coordinate_fd(
                 lambda: loss.evaluate(params, compute_grad=False)[0], params, OBJECTIVE_FD_STEP
             )
-            assert _fd_gradient(loss.objectives, params.params, OBJECTIVE_FD_STEP).tobytes() == want.tobytes()
+            sizes = []
+            stacked = _fd_gradient(block_sizes(loss.objectives, sizes), params.params, OBJECTIVE_FD_STEP)
+            assert stacked.tobytes() == want.tobytes()
+            assert_several_blocks_with_a_short_last_one(sizes, budget)
 
-    def test_blocks_stay_within_the_cap(self):
+    @staticmethod
+    def stacks_of(base, budget, monkeypatch):
+        monkeypatch.setattr(harness, "_FD_BYTES", budget)
         calls = []
 
         def values(stack):
             calls.append(stack.copy())
             return stack.sum(axis=1)
 
-        base = np.arange(70, dtype=np.float64)
-        grad = _fd_gradient(values, base, 0.5)
-        assert [len(c) for c in calls] == [64, 64, 12]
+        np.testing.assert_array_equal(_fd_gradient(values, base, 0.5), np.ones(base.size))
+        # Each copy moves exactly one coordinate, and every coordinate is moved.
         assert all((np.count_nonzero(c != base, axis=1) == 1).all() for c in calls)
-        np.testing.assert_array_equal(grad, np.ones(70))
+        assert sum(len(c) for c in calls) == 2 * base.size
+        return calls
+
+    @pytest.mark.parametrize("budget", [4096, 5000, harness._FD_BYTES])
+    def test_every_stack_fits_the_budget(self, budget, monkeypatch):
+        base = np.arange(70, dtype=np.float64)  # one pair of copies is 1,120 bytes
+        calls = self.stacks_of(base, budget, monkeypatch)
+        assert all(c.nbytes <= budget for c in calls)
+        # Every block but the last is as large as the budget allows.
+        per_block = min(budget // 1120, 70)
+        assert [len(c) for c in calls[:-1]] == [2 * per_block] * (len(calls) - 1)
+
+    def test_a_pair_larger_than_the_budget_is_a_block_of_one_coordinate(self, monkeypatch):
+        calls = self.stacks_of(np.arange(70, dtype=np.float64), 1000, monkeypatch)
+        assert [len(c) for c in calls] == [2] * 70
 
 
 class TestMainEntry:

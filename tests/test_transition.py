@@ -223,12 +223,28 @@ def _saturated_rows(m, k):
 TIE_SHAPES = [(_saturated_rows(3, 3), 1), (np.full((2, 2), 0.5), 1)]
 
 
+def walk_digits(probs, walk):
+    """The walk's next states as digit rows, in its order: 0 for a remasked
+    row, 1 + the token for a kept one."""
+    row_of = {p: r for r, p in enumerate(probs.positions.tolist())}
+    keys = np.zeros((len(walk), probs.num_rows), dtype=np.int64)
+    for s, sig in enumerate(walk):
+        keys[s, [row_of[p] for p in sig.positions]] = np.add(sig.values, 1)
+    return keys
+
+
 def assert_same_table(probs, num_to_keep):
-    fast = enumerate_next_states(probs, num_to_keep)
     walk = walk_next_states(probs, num_to_keep)
-    # Keys, first-reached order and every sum's bits.
+    walk_sums = np.array(list(walk.values())).tobytes()
+    # Keys, first-reached order and every sum's bits: the arrays, then the
+    # dict view built from them.
+    keys, sums = transition._next_state_arrays(probs, num_to_keep)
+    assert keys.dtype == np.int64 and keys.shape == (len(walk), probs.num_rows)
+    assert keys.tolist() == walk_digits(probs, walk).tolist()
+    assert sums.tobytes() == walk_sums
+    fast = enumerate_next_states(probs, num_to_keep)
     assert list(fast.items()) == list(walk.items())
-    assert np.array(list(fast.values())).tobytes() == np.array(list(walk.values())).tobytes()
+    assert np.array(list(fast.values())).tobytes() == walk_sums
 
 
 class TestEnumeration:
@@ -265,6 +281,34 @@ class TestEnumeration:
     )
     def test_degenerate_shapes_equal_the_python_walk(self, rows, num_to_keep):
         assert_same_table(ProbMatrix.from_rows(rows), num_to_keep)
+
+    @pytest.mark.parametrize(
+        "rows, num_to_keep, key",
+        [(np.zeros((0, 3)), 0, []), (np.ones((70, 1)), 3, [1, 1, 1] + [0] * 67)],
+    )
+    def test_degenerate_shapes_give_one_next_state_of_probability_one(self, rows, num_to_keep, key):
+        keys, sums = transition._next_state_arrays(ProbMatrix.from_rows(rows), num_to_keep)
+        assert keys.shape == (1, len(rows))
+        assert keys.tolist() == [key]
+        assert sums.tolist() == [1.0]
+
+    def test_lookup_finds_the_outcomes_next_state_by_its_digits(self, fixture_f):
+        keys, sums = transition._next_state_arrays(fixture_f, 1)
+        table = enumerate_next_states(fixture_f, 1)
+        for outcome in (outcome_a(fixture_f), outcome_b(fixture_f)):
+            got = transition._probability_of(keys, sums, outcome)
+            assert got == table[signature_of_outcome(outcome)]
+        # Keeping row 1's token 1 (confidence 0.3) would need a sample of
+        # row 0 below 0.3, and row 0 has none: the next state is absent.
+        absent = StepOutcome(
+            sampled=np.array([0, 1]),
+            confidences=np.array([0.5, 0.3]),
+            chosen=np.array([False, True]),
+            positions=fixture_f.positions,
+        )
+        assert signature_of_outcome(absent) not in table
+        assert transition._probability_of(keys, sums, absent) == 0.0
+        assert oracle_check(fixture_f, absent).enumerated == 0.0
 
     def test_fixture_f_hand_enumeration(self, fixture_f):
         table = enumerate_next_states(fixture_f, 1)
