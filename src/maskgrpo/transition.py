@@ -287,7 +287,7 @@ def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState
 
 
 def _probability_of(keys: np.ndarray, sums: np.ndarray, outcome: StepOutcome) -> float:
-    """Probability of ``outcome``'s next state in a table, 0.0 when absent."""
+    """Probability of ``outcome``'s next state in ``_next_state_arrays``' table, or 0.0."""
     hit = (keys == np.where(outcome.chosen, outcome.sampled + 1, 0)).all(axis=1)
     return sums[hit.argmax()].item() if hit.any() else 0.0
 
