@@ -25,9 +25,9 @@ rates = [0.2, 0.3, 0.5]
 
 print("== One-step matrices at rate 0.3 ==")
 print("absorbing:")
-print(build_absorbing_q(K, 0.3).q)
+print(build_absorbing_q(K, 0.3))
 print("uniform:")
-print(build_uniform_q(K, 0.3).q)
+print(build_uniform_q(K, 0.3))
 print()
 
 print("== Forward marginal from token 0: closed form vs matrix product ==")

@@ -12,7 +12,6 @@ from .canvas import (
 from .decoder import Trajectory, rollout, sample_step
 from .discrete_diffusion import (
     MatrixKind,
-    TransitionMatrix,
     build_absorbing_q,
     build_uniform_q,
     elbo_terms,
@@ -27,7 +26,6 @@ from .grpo import (
     Reduction,
     TrainSetup,
     adam_step,
-    evaluate,
     group_advantages,
     grpo_loss_and_grad,
     kl_step,

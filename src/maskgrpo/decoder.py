@@ -49,7 +49,6 @@ class Trajectory:
     kind: "transition.TransitionKind"
     temperature: float
     seed: int
-    reward: float = float("nan")
 
     @property
     def total_steps(self) -> int:
@@ -147,4 +146,4 @@ def dump_trajectory(traj: Trajectory, fh) -> None:
             f"confidences=[{confs}] logprob={traj.old_logprobs[t]:.6f}\n"
         )
     final = "".join(str(v) for v in traj.final_state.tokens)
-    fh.write(f"final={final} reward={traj.reward}\n")
+    fh.write(f"final={final}\n")

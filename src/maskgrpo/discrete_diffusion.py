@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MatrixKind",
-    "TransitionMatrix",
     "build_uniform_q",
     "build_absorbing_q",
     "forward_marginal",
@@ -35,45 +33,29 @@ class MatrixKind(enum.Enum):
     ABSORBING = "absorbing"
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic single-step corruption matrix.
-
-    For the absorbing kind the last category is the mask state: every other
-    row moves ``rate`` of its mass there and the mask row is an identity row.
-    """
-
-    q: np.ndarray
-    kind: MatrixKind
-    rate: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if np.any(q < 0.0) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("rows must be nonnegative and sum to 1")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("corruption rate must lie in [0, 1]")
-
-
-def build_uniform_q(num_states: int, rate: float) -> TransitionMatrix:
-    """(1 - rate) * I + rate * ones/num_states."""
+def _check(num_states: int, rate: float) -> None:
+    # Every comparison is false for NaN, so the rate check refuses it too.
     if num_states < 2:
-        raise ValueError("need at least two states")
-    q = (1.0 - rate) * np.eye(num_states) + rate * np.full((num_states, num_states), 1.0 / num_states)
-    return TransitionMatrix(q=q, kind=MatrixKind.UNIFORM, rate=rate)
+        raise ValueError(f"need at least two states, got {num_states}")
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"corruption rate must lie in [0, 1], got {rate!r}")
 
 
-def build_absorbing_q(num_states: int, rate: float) -> TransitionMatrix:
-    """Stay with probability 1 - rate or fall into the final (mask) state."""
-    if num_states < 2:
-        raise ValueError("need at least two states")
+def build_uniform_q(num_states: int, rate: float) -> np.ndarray:
+    """(1 - rate) * I + rate * ones/num_states, row-stochastic ``(S, S)``."""
+    _check(num_states, rate)
+    return (1.0 - rate) * np.eye(num_states) + rate * np.full((num_states, num_states), 1.0 / num_states)
+
+
+def build_absorbing_q(num_states: int, rate: float) -> np.ndarray:
+    """Stay with probability 1 - rate or fall into the final (mask) state,
+    which is an identity row: row-stochastic ``(S, S)``."""
+    _check(num_states, rate)
     q = (1.0 - rate) * np.eye(num_states)
     q[:, -1] += rate
     q[-1, :] = 0.0
     q[-1, -1] = 1.0
-    return TransitionMatrix(q=q, kind=MatrixKind.ABSORBING, rate=rate)
+    return q
 
 
 BUILDERS = {MatrixKind.UNIFORM: build_uniform_q, MatrixKind.ABSORBING: build_absorbing_q}
@@ -83,7 +65,7 @@ def cumulative_q(num_states: int, rates, kind: MatrixKind) -> np.ndarray:
     """Product of the per-step matrices; row-stochastic like its factors."""
     out = np.eye(num_states)
     for rate in rates:
-        out = out @ BUILDERS[kind](num_states, rate).q
+        out = out @ BUILDERS[kind](num_states, rate)
     return out
 
 
@@ -94,15 +76,13 @@ def forward_marginal(x0: int, num_states: int, rates, kind: MatrixKind) -> np.nd
     return cumulative_q(num_states, rates, kind)[x0].copy()
 
 
-def reverse_posterior(
-    x_t: int, x0: int, q_t: TransitionMatrix, qbar_prev: np.ndarray
-) -> np.ndarray:
+def reverse_posterior(x_t: int, x0: int, q_t: np.ndarray, qbar_prev: np.ndarray) -> np.ndarray:
     """Bayes posterior over the previous state given the endpoints.
 
     Proportional to (previous -> current one-step mass) times (start ->
     previous cumulative mass).
     """
-    weights = q_t.q[:, x_t] * qbar_prev[x0, :]
+    weights = q_t[:, x_t] * qbar_prev[x0, :]
     total = weights.sum()
     if total <= 0.0:
         raise ValueError(f"state {x_t} is unreachable from {x0} at this step")
@@ -118,7 +98,7 @@ def reverse_posterior_enumerated(
         raise ValueError("need at least one corruption step")
     if num_states**steps > 10**4:
         raise ValueError("path enumeration guard exceeded")
-    qs = [BUILDERS[kind](num_states, r).q for r in rates]
+    qs = [BUILDERS[kind](num_states, r) for r in rates]
     joint_prev = np.zeros(num_states)
     for path in itertools.product(range(num_states), repeat=steps - 1):
         chain = (x0,) + path + (x_t,)
@@ -159,7 +139,7 @@ def elbo_terms(
     for t in range(1, steps + 1):
         q_t = BUILDERS[kind](num_states, rates[t - 1])
         qbar_prev = cumulative_q(num_states, rates[: t - 1], kind)
-        marg_t = (qbar_prev @ q_t.q)[x0]
+        marg_t = (qbar_prev @ q_t)[x0]
         term = 0.0
         for x_t in range(num_states):
             if marg_t[x_t] <= 0.0:

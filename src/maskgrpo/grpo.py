@@ -56,7 +56,6 @@ __all__ = [
     "LossPass",
     "grpo_loss_and_grad",
     "adam_step",
-    "evaluate",
     "train",
 ]
 
@@ -482,27 +481,14 @@ class TrainResult:
     eval_rewards: np.ndarray
 
 
-def evaluate(
-    params: PolicyParams,
-    prompt: Prompt,
-    schedule: UnmaskSchedule,
-    config: GrpoConfig,
-    reward_fn: RewardFn,
-    num_rollouts: int,
-    seed_base: int,
-) -> np.ndarray:
-    """Rewards of fresh rollouts on the given (typically full) schedule."""
-    if num_rollouts == 0:
-        return np.zeros(0)
-    trajs = rollout(
-        params,
-        prompt,
-        schedule,
-        config.kind,
-        temperature=config.temperature,
-        seed=[seed_base ^ (_TAG_EVAL | i) for i in range(num_rollouts)],
-    )
-    return np.array([reward_fn(traj.final_state, prompt) for traj in trajs], dtype=np.float64)
+def _rollouts(
+    params: PolicyParams, setup: TrainSetup, schedule: UnmaskSchedule, seeds: list[int]
+) -> tuple[list[Trajectory], np.ndarray]:
+    """Roll out the setup's prompt on ``schedule``, one canvas per seed, and
+    reward each final canvas."""
+    config, prompt = setup.config, setup.prompt
+    trajs = rollout(params, prompt, schedule, config.kind, temperature=config.temperature, seed=seeds)
+    return trajs, np.array([setup.reward_fn(tr.final_state, prompt) for tr in trajs], dtype=np.float64)
 
 
 def train(
@@ -530,17 +516,8 @@ def train(
         attempt = 0
         filtered = 0
         while True:
-            trajs = rollout(
-                params,
-                prompt,
-                setup.train_schedule,
-                config.kind,
-                temperature=config.temperature,
-                seed=[config.seed ^ _rollout_stream(it, attempt, j) for j in range(config.group_size)],
-            )
-            rewards = np.array([setup.reward_fn(tr.final_state, prompt) for tr in trajs])
-            for tr, r in zip(trajs, rewards):
-                tr.reward = float(r)
+            seeds = [config.seed ^ _rollout_stream(it, attempt, j) for j in range(config.group_size)]
+            trajs, rewards = _rollouts(params, setup, setup.train_schedule, seeds)
             std = float(rewards.std())
             decision = filtering.admit(history, std, attempt)
             filtered += decision is not filtering.Decision.ACCEPT
@@ -586,7 +563,8 @@ def train(
         if on_metrics is not None:
             on_metrics(row, params)
 
-    eval_rewards = evaluate(
-        params, prompt, setup.full_schedule, config, setup.reward_fn, setup.eval_rollouts, config.seed
-    )
+    eval_rewards = np.zeros(0)
+    if setup.eval_rollouts:
+        seeds = [config.seed ^ (_TAG_EVAL | i) for i in range(setup.eval_rollouts)]
+        eval_rewards = _rollouts(params, setup, setup.full_schedule, seeds)[1]
     return TrainResult(params=params, metrics=metrics, eval_rewards=eval_rewards)

@@ -181,10 +181,7 @@ class ExperimentConfig:
     def target_tokens(self) -> tuple[int, ...]:
         if not self.reward_target:
             return tuple(i % self.canvas_k for i in range(self.canvas_n))
-        try:
-            return tuple(int(v) for v in self.reward_target.split(","))
-        except ValueError:
-            raise ConfigError(f"reward_target must be comma-separated integers, got {self.reward_target!r}") from None
+        return _integers("reward_target", self.reward_target)
 
     def prompt(self) -> Prompt:
         if self.reward == "pattern":
@@ -216,6 +213,14 @@ class ExperimentConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _integers(name: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, refused by ``name`` if one is not."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{name} must be comma-separated integers, got {text!r}") from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -286,21 +291,16 @@ def cmd_train(config_path: str, out_override: str | None = None) -> int:
 
 def _parse_prompt_spec(spec: str, arch: PolicyArch) -> Prompt:
     kind, _, rest = spec.partition(":")
+    if kind not in ("pattern", "count"):
+        raise ConfigError(f"unknown prompt kind {kind!r} (expected pattern: or count:)")
+    values = _integers(f"the values of prompt {spec!r}", rest)
     if kind == "pattern":
-        target = tuple(int(v) for v in rest.split(","))
-        if len(target) != arch.length:
-            raise ConfigError(
-                f"pattern prompt needs {arch.length} tokens, got {len(target)}"
-            )
-        return Prompt.pattern_match(target, arch.num_categories, arch.embed)
-    if kind == "count":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ConfigError("count prompt spec must be count:VALUE,TARGET")
-        return Prompt.token_count(
-            int(parts[0]), int(parts[1]), arch.length, arch.num_categories, arch.embed
-        )
-    raise ConfigError(f"unknown prompt kind {kind!r} (expected pattern: or count:)")
+        if len(values) != arch.length:
+            raise ConfigError(f"pattern prompt needs {arch.length} tokens, got {len(values)}")
+        return Prompt.pattern_match(values, arch.num_categories, arch.embed)
+    if len(values) != 2:
+        raise ConfigError("count prompt spec must be count:VALUE,TARGET")
+    return Prompt.token_count(*values, arch.length, arch.num_categories, arch.embed)
 
 
 def cmd_sample(
@@ -350,6 +350,12 @@ def cmd_sample(
 
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def _worst(a: float, b: float) -> float:
+    """``max(a, b)``, except that a NaN on either side is kept: ``max``
+    returns ``a`` whenever ``b`` is not larger, a NaN ``b`` included."""
+    return b if b > a or b != b else a
 
 
 def _within_bounds(report) -> bool:
@@ -416,9 +422,9 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
         lp_exact = transition.step_logprob(TransitionKind.EXACT, probs, outcome)
         keys, sums = transition._next_state_arrays(probs, n_keep)
         enumerated = transition._probability_of(keys, sums, outcome)
-        worst_oracle = max(worst_oracle, abs(enumerated - float(np.exp(lp_exact))))
-        worst_enum_sum = max(worst_enum_sum, abs(sum(sums.tolist()) - 1.0))
-        worst_model_sum = max(worst_model_sum, abs(_model_sum(probs, keys) - 1.0))
+        worst_oracle = _worst(worst_oracle, abs(enumerated - float(np.exp(lp_exact))))
+        worst_enum_sum = _worst(worst_enum_sum, abs(sum(sums.tolist()) - 1.0))
+        worst_model_sum = _worst(worst_model_sum, abs(_model_sum(probs, keys) - 1.0))
         lp_ar = transition.step_logprob(TransitionKind.AR_STYLE, probs, outcome)
         lp_kept = transition.step_logprob(TransitionKind.UNMASKED_ONLY, probs, outcome)
         # 1e-12 slack absorbs the different float paths of equal-value cases.
@@ -456,10 +462,13 @@ def _grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, fl
 
     The error is relative where meaningful and zero for differences of at
     most 1e-8; the absolute difference shows the margin that floor hides.
+    A NaN or infinite coordinate gives a NaN or infinite error.  A zero
+    ``denom`` means both are 0, so dividing that ``diff`` by 1 gives 0.
     """
     diff = np.abs(analytic - numeric)
     denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), 0.0)
+    with np.errstate(invalid="ignore"):
+        rel = diff / np.where(denom > 0, denom, 1.0)
     return float(np.where(diff <= 1e-8, 0.0, rel).max(initial=0.0)), float(diff.max(initial=0.0))
 
 
@@ -568,7 +577,7 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
             analytic = params.grads.copy()
             fd = _fd_gradient(partial(_step_logprobs, kind, inputs, outcome), params.params, LOGPROB_FD_STEP)
             rel, diff = _grad_mismatch(analytic, fd)
-            worst, worst_abs = max(worst, rel), max(worst_abs, diff)
+            worst, worst_abs = _worst(worst, rel), _worst(worst_abs, diff)
 
     for beta in (0.0, 0.5):
         for _ in range(trials):
@@ -579,7 +588,7 @@ def run_gradcheck(trials: int, seed: int) -> GradcheckReport:
             clipped_terms += round(stats["clip_frac"] * loss.size)
             total_terms += loss.size
             rel, diff = _grad_mismatch(analytic, _fd_gradient(loss.objectives, params.params, OBJECTIVE_FD_STEP))
-            worst, worst_abs = max(worst, rel), max(worst_abs, diff)
+            worst, worst_abs = _worst(worst, rel), _worst(worst_abs, diff)
     return GradcheckReport(
         trials=trials,
         worst_rel_err=worst,
@@ -688,10 +697,10 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
             rates = rng.uniform(0.0, 1.0, size=steps)
             cum = np.eye(num_states)
             for rate in rates:
-                q = dd.BUILDERS[kind](num_states, rate).q
-                worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
+                q = dd.BUILDERS[kind](num_states, rate)
+                worst_row = _worst(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
                 cum = cum @ q
-                worst_row = max(worst_row, float(np.abs(cum.sum(axis=1) - 1.0).max()))
+                worst_row = _worst(worst_row, float(np.abs(cum.sum(axis=1) - 1.0).max()))
             if kind is dd.MatrixKind.ABSORBING:
                 survive = float(np.prod(1.0 - rates))
                 for x0 in range(num_states - 1):
@@ -699,7 +708,7 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
                     closed[x0] = survive
                     closed[-1] = 1.0 - survive
                     marg = dd.forward_marginal(x0, num_states, rates, kind)
-                    worst_marg = max(worst_marg, float(np.abs(marg - closed).max()))
+                    worst_marg = _worst(worst_marg, float(np.abs(marg - closed).max()))
     for kind in dd.MatrixKind:
         for _ in range(10):
             num_states = int(rng.integers(2, 5))
@@ -714,7 +723,7 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
                     continue
                 fast = dd.reverse_posterior(x_t, 0, q_t, qbar_prev)
                 slow = dd.reverse_posterior_enumerated(x_t, 0, num_states, rates, kind)
-                worst_post = max(worst_post, float(np.abs(fast - slow).max()))
+                worst_post = _worst(worst_post, float(np.abs(fast - slow).max()))
     for kind in dd.MatrixKind:
         for _ in range(5):
             num_states = int(rng.integers(2, 4))
@@ -724,10 +733,10 @@ def run_d3pm_suite(seed: int = 0) -> D3pmReport:
             true_pred = np.zeros((steps, num_states, num_states))
             true_pred[:, :, x0] = 1.0
             terms, total = dd.elbo_terms(x0, num_states, rates, kind, true_pred)
-            worst_true_elbo = max(worst_true_elbo, abs(total))
+            worst_true_elbo = _worst(worst_true_elbo, abs(total))
             noisy = rng.dirichlet(np.ones(num_states), size=(steps, num_states))
             terms, _ = dd.elbo_terms(x0, num_states, rates, kind, noisy)
-            min_term = min(min_term, float(terms.min()))
+            min_term = -_worst(-min_term, -float(terms.min()))  # the smallest, NaN kept
     return D3pmReport(
         worst_row_sum=worst_row,
         worst_marginal_diff=worst_marg,

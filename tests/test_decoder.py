@@ -235,4 +235,4 @@ class TestRollout:
         lines = buf.getvalue().splitlines()
         assert len(lines) == traj.total_steps + 1
         assert lines[0].startswith("step=0 chosen_positions=")
-        assert lines[-1].startswith("final=")
+        assert lines[-1] == "final=" + "".join(map(str, traj.final_state.tokens))

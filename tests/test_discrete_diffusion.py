@@ -14,26 +14,26 @@ from maskgrpo.discrete_diffusion import cumulative_q, reverse_posterior_enumerat
 
 class TestBuilders:
     def test_uniform_zero_rate_is_identity(self):
-        np.testing.assert_array_equal(build_uniform_q(3, 0.0).q, np.eye(3))
+        np.testing.assert_array_equal(build_uniform_q(3, 0.0), np.eye(3))
 
     def test_uniform_full_rate_two_states(self):
-        np.testing.assert_allclose(build_uniform_q(2, 1.0).q, np.full((2, 2), 0.5))
+        np.testing.assert_allclose(build_uniform_q(2, 1.0), np.full((2, 2), 0.5))
 
     def test_uniform_half_rate_two_states(self):
         np.testing.assert_allclose(
-            build_uniform_q(2, 0.5).q, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15
+            build_uniform_q(2, 0.5), [[0.75, 0.25], [0.25, 0.75]], atol=1e-15
         )
 
     def test_absorbing_zero_rate_is_identity(self):
-        np.testing.assert_array_equal(build_absorbing_q(4, 0.0).q, np.eye(4))
+        np.testing.assert_array_equal(build_absorbing_q(4, 0.0), np.eye(4))
 
     def test_absorbing_full_rate_masks_everything(self):
-        q = build_absorbing_q(3, 1.0).q
+        q = build_absorbing_q(3, 1.0)
         assert (q[:, -1] == 1.0).all()
 
     def test_absorbing_three_states(self):
         np.testing.assert_allclose(
-            build_absorbing_q(3, 0.3).q,
+            build_absorbing_q(3, 0.3),
             [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3], [0.0, 0.0, 1.0]],
             atol=1e-15,
         )
@@ -42,12 +42,24 @@ class TestBuilders:
     def test_rows_stochastic(self, builder):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            q = builder(int(rng.integers(2, 6)), float(rng.random())).q
+            q = builder(int(rng.integers(2, 6)), float(rng.random()))
             np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            build_uniform_q(3, 1.5)
+    @pytest.mark.parametrize("builder", [build_uniform_q, build_absorbing_q])
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, builder, rate):
+        with pytest.raises(ValueError, match=r"corruption rate must lie in \[0, 1\]"):
+            builder(3, rate)
+
+    @pytest.mark.parametrize("builder", [build_uniform_q, build_absorbing_q])
+    def test_single_state_rejected(self, builder):
+        with pytest.raises(ValueError, match="need at least two states, got 1"):
+            builder(1, 0.5)
+
+    @pytest.mark.parametrize("builder", [build_uniform_q, build_absorbing_q])
+    def test_returns_a_square_float_array(self, builder):
+        q = builder(4, 0.25)
+        assert type(q) is np.ndarray and q.shape == (4, 4) and q.dtype == np.float64
 
 
 class TestForwardMarginal:

@@ -677,6 +677,29 @@ class TestTrain:
         assert len(metrics) == 60
         assert all(np.isfinite([row["loss"], row["grad_norm"], row["mean_ratio"]]).all() for row in metrics)
 
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.unmask_reduce(2)])
+    def test_evaluation_decodes_the_full_schedule_on_the_eval_stream(self, reduction):
+        setup = dataclasses.replace(
+            pattern_setup(iterations=3, temperature=0.7, reduction=reduction), eval_rollouts=5
+        )
+        result = train(setup)
+        config = setup.config
+        trajs = rollout(
+            result.params,
+            setup.prompt,
+            setup.full_schedule,
+            config.kind,
+            temperature=config.temperature,
+            seed=[config.seed ^ (grpo._TAG_EVAL | i) for i in range(5)],
+        )
+        want = np.array([reward_pattern(traj.final_state, setup.prompt) for traj in trajs])
+        assert result.eval_rewards.dtype == np.float64
+        assert result.eval_rewards.tobytes() == want.tobytes()
+
+    def test_no_evaluation_rollouts_give_an_empty_float_array(self):
+        eval_rewards = train(pattern_setup(iterations=1)).eval_rewards
+        assert eval_rewards.shape == (0,) and eval_rewards.dtype == np.float64
+
     def test_unmask_reduce_schedule_still_covers_canvas(self):
         setup = pattern_setup(iterations=2, reduction=Reduction.unmask_reduce(2))
         sched = setup.schedule_for(2)

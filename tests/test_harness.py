@@ -19,6 +19,7 @@ from maskgrpo import (
     schedule_cosine,
     transition,
 )
+from maskgrpo import discrete_diffusion as dd
 from maskgrpo.decoder import dump_trajectory
 from maskgrpo.harness import (
     LOGPROB_FD_STEP,
@@ -353,7 +354,9 @@ class TestCmdSample:
         [
             (["-T", "9"], "cannot unmask at least one token per step"),
             (["-T", "-1"], "steps and length must be positive"),
-            (["-p", "pattern:0,x,2,0"], "invalid literal for int()"),
+            (["-p", "pattern:0,x,2,0"], "the values of prompt 'pattern:0,x,2,0' must be comma-separated integers, got '0,x,2,0'"),
+            (["-p", "pattern:"], "the values of prompt 'pattern:' must be comma-separated integers, got ''"),
+            (["-p", "count:1,x"], "the values of prompt 'count:1,x' must be comma-separated integers, got '1,x'"),
             (["-p", "count:5,2"], "target token out of range"),
             (["-p", "pattern:0,1,2,7"], "target token out of range"),
             (["-p", "count:1,9"], "target count out of range"),
@@ -464,6 +467,48 @@ class TestGradcheck:
 
     def test_largest_seed_runs(self):
         assert cmd_verify(1, 2**128 - 1, out=io.StringIO()) == 0
+
+
+class TestNonFiniteQuantities:
+    """A NaN or infinite checked quantity reaches its report and fails its bound."""
+
+    def test_worst_keeps_nan_on_either_side(self):
+        assert np.isnan(harness._worst(np.nan, 1.0)) and np.isnan(harness._worst(1.0, np.nan))
+        assert harness._worst(1.0, np.inf) == np.inf and harness._worst(2.0, 1.0) == 2.0
+
+    def test_grad_mismatch_of_a_non_finite_coordinate_is_not_finite(self):
+        for numeric in ([0.5, np.nan], [0.5, np.inf], [0.5, -np.inf]):
+            rel, diff = harness._grad_mismatch(np.array([0.5, 1.0]), np.array(numeric))
+            assert not np.isfinite(rel) and not np.isfinite(diff)
+
+    def test_nan_finite_differences_fail_gradcheck(self, monkeypatch):
+        monkeypatch.setattr(harness, "_fd_gradient", lambda values, base, step: np.full_like(base, np.nan))
+        report = run_gradcheck(1, 0)
+        assert np.isnan(report.worst_rel_err) and not report.passed
+
+    def test_nan_posterior_fails_d3pm(self, monkeypatch, capsys):
+        monkeypatch.setattr(dd, "reverse_posterior", lambda x_t, x0, q_t, qbar_prev: np.full(len(q_t), np.nan))
+        assert main(["d3pm"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("  worst posterior vs paths gap ") and " = nan  (bound" in line for line in out)
+        assert out[-1] == "d3pm: FAIL"
+
+    def test_nan_exact_log_probability_reaches_the_verify_report(self, monkeypatch):
+        scorer = transition.step_logprob
+
+        def nan_exact(kind, probs, outcome):
+            return np.nan if kind is TransitionKind.EXACT else scorer(kind, probs, outcome)
+
+        monkeypatch.setattr(transition, "step_logprob", nan_exact)
+        report = run_verify(5, 0)
+        assert np.isnan(report.worst_oracle_diff) and not report.passed
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_worst_value_fails_its_bound_and_prints(self, value):
+        report = harness.VerifyReport(1, value, 0.0, 0.0, 0)
+        out = io.StringIO()
+        assert harness._write_report(out, "verify", "trials=1", report) == 1
+        assert f"= {value}  (bound < 1e-10)" in out.getvalue()
 
 
 def per_coordinate_fd(fn, params, step):

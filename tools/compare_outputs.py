@@ -7,11 +7,13 @@ Runs ``maskgrpo train`` in each checkout on seven configs, ``sample -n 200 -s
 3`` from the checkout's own ``default_seed5`` checkpoint, and ``verify -n 300
 -s 3``, ``gradcheck -n 8 -s 42``, ``gradcheck -n 100 -s 42`` (the instances
 acceptance criterion 4 checks) and ``d3pm``, each from the checkout's own
-``src/`` with BLAS pinned to one thread.  For a train run it compares
-``metrics.csv`` without its ``wall_ms`` column, the bytes of ``final.ckpt``,
-the exit code and the printed text (output paths masked); for ``sample`` and
-the reports it compares the exit code and the printed text.  It prints one
-line per difference and exits 1 when there is any, 0 otherwise.
+``src/`` with BLAS pinned to one thread, then each checkout's six demos.
+For a train run it compares ``metrics.csv`` without its ``wall_ms`` column,
+the bytes of ``final.ckpt``, the exit code and the printed text (output
+paths masked); for ``sample`` and the reports it compares the exit code and
+the printed text; for a demo, the exit code and the standard output with
+its ``elapsed:`` line (demo 03's timing) masked.  It prints one line per
+difference and exits 1 when there is any, 0 otherwise.
 
 The configs cover the default shape (seed 5, 300 iterations, where one
 iteration exhausts its resample budget), the large shape, AR-style scoring
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,11 +72,18 @@ REPORTS = {
 }
 
 
-def run_cli(checkout: Path, args: list[str]) -> subprocess.CompletedProcess:
+# A demo's timing line, the one printed value that differs between runs.
+ELAPSED = re.compile(r"^(\s*elapsed:).*$", re.MULTILINE)
+
+
+def run_python(checkout: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1"}
     env.pop("MASKGRPO_OUT", None)
-    cmd = [sys.executable, "-m", "maskgrpo.harness", *args]
-    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def run_cli(checkout: Path, args: list[str]) -> subprocess.CompletedProcess:
+    return run_python(checkout, ["-m", "maskgrpo.harness", *args], checkout)
 
 
 def metrics_without_wall(path: Path) -> list[list[str]]:
@@ -114,13 +124,19 @@ def all_outputs(checkout: Path, scratch: Path) -> dict:
     for name, args in REPORTS.items():
         proc = run_cli(checkout, args)
         outputs[name] = {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    for demo in sorted((checkout / "demos").glob("*.py")):
+        proc = run_python(checkout, [str(demo)], scratch)
+        outputs[f"demo {demo.stem}"] = {
+            "exit code": proc.returncode,
+            "stdout": ELAPSED.sub(r"\1 <masked>", proc.stdout),
+        }
     return outputs
 
 
 def differences(parent: dict, change: dict) -> list[str]:
     found = []
-    for run, want in parent.items():
-        got = change[run]
+    for run in [*parent, *(run for run in change if run not in parent)]:
+        want, got = parent.get(run, {}), change.get(run, {})
         for part in sorted(set(want) | set(got)):
             if part not in want or part not in got:
                 found.append(f"{run}: {part} only on the {'parent' if part in want else 'change'}")
