@@ -73,20 +73,8 @@ class CanvasState:
         return self.tokens.size
 
     @property
-    def mask_value(self) -> int:
-        return self.num_categories
-
-    @property
     def num_masked(self) -> int:
         return int(self.mask_flags.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        return not self.mask_flags.any()
-
-    def masked_positions(self) -> np.ndarray:
-        """Canvas indices that are still masked, in ascending order."""
-        return np.flatnonzero(self.mask_flags)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 
-def rng_for_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based stream split: one independent generator per (seed, stream).
-    Philox refuses a key ``seed ^ stream`` outside ``[0, 2**128)``."""
-    return np.random.Generator(np.random.Philox(key=int(seed) ^ int(stream)))
+def rng_for_stream(seed: int) -> np.random.Generator:
+    """Counter-based generator keyed by ``seed``; callers XOR a stream tag into it.
+    Philox refuses a key outside ``[0, 2**128)``."""
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 @dataclass

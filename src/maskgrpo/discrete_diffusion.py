@@ -114,7 +114,7 @@ def reverse_posterior_enumerated(
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
+        contrib = np.where(p != 0.0, p * (np.log(p) - np.log(q)), 0.0)
     return float(contrib.sum())
 
 

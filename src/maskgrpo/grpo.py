@@ -111,14 +111,6 @@ class Reduction:
         if self.kind is ReductionKind.UNMASK_REDUCE and self.train_steps < 1:
             raise ValueError(f"train_steps must be at least 1 with reduction unmask, got {self.train_steps}")
 
-    @classmethod
-    def compute_subset(cls, start: int, stop: int) -> "Reduction":
-        return cls(kind=ReductionKind.COMPUTE_SUBSET, start=start, stop=stop)
-
-    @classmethod
-    def unmask_reduce(cls, train_steps: int) -> "Reduction":
-        return cls(kind=ReductionKind.UNMASK_REDUCE, train_steps=train_steps)
-
 
 @dataclass(frozen=True)
 class GrpoConfig:
@@ -193,7 +185,7 @@ def kl_step(rows_new: np.ndarray, rows_ref: np.ndarray) -> float:
 
 def _kl_terms(rows_new: np.ndarray, rows_ref: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rows_new > 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
+        return np.where(rows_new != 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
 
 
 def active_steps(reduction: Reduction, total_steps: int) -> np.ndarray:

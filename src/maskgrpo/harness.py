@@ -142,7 +142,8 @@ class ExperimentConfig:
             (len(target) in (0, self.canvas_n), "reward_target length must equal canvas_n", len(target)),
             (all(0 <= v < self.canvas_k for v in target), "reward_target tokens must lie in [0, canvas_k)", target),
             (0 <= self.reward_value < self.canvas_k, "reward_value must lie in [0, canvas_k)", self.reward_value),
-            (-1 <= self.reward_count <= self.canvas_n, "reward_count must lie in [0, canvas_n]", self.reward_count),
+            (-1 <= self.reward_count <= self.canvas_n,
+             "reward_count must lie in [0, canvas_n], or be -1 for canvas_n // 2", self.reward_count),
             (self.checkpoint_every >= 0, "checkpoint_every must be nonnegative", self.checkpoint_every),
         ):
             if not ok:
@@ -259,8 +260,11 @@ def _fmt(value) -> str:
 
 def cmd_train(config_path: str, out_override: str | None = None) -> int:
     cfg = parse_config(config_path)
-    out_dir = out_override or os.environ.get("MASKGRPO_OUT") or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = out_override or cfg.out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
     setup = cfg.train_setup()
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -645,22 +649,17 @@ def _random_objective_instance(rng: np.random.Generator, beta: float):
 
 
 def _objective_is_generic(group, params, loss) -> bool:
+    """No term is impossible (ratio 0), near a clip edge or near a selection boundary."""
     margin = 1e-3
     lo, hi = 1.0 - loss.config.clip_eps, 1.0 + loss.config.clip_eps
+    ratio = loss._pass(params.params, None)[1]
+    if np.any((ratio == 0.0) | (np.abs(ratio - lo) < margin) | (np.abs(ratio - hi) < margin)):
+        return False
     batch = forward_encoded(params, loss.inputs)
-    for i, (j, t) in enumerate(zip(loss.owners, loss.steps)):
-        traj = group.trajectories[j]
-        probs, outcome = batch.probs(i), traj.outcomes[t]
-        if _near_selection_boundary(probs, outcome):
-            return False
-        try:
-            new_logp = transition.step_logprob(traj.kind, probs, outcome)
-        except transition.DegenerateOutcomeError:
-            return False
-        ratio = float(np.exp(new_logp - traj.old_logprobs[t]))
-        if abs(ratio - lo) < margin or abs(ratio - hi) < margin:
-            return False
-    return True
+    return not any(
+        _near_selection_boundary(batch.probs(i), group.trajectories[j].outcomes[t])
+        for i, (j, t) in enumerate(zip(loss.owners, loss.steps))
+    )
 
 
 class D3pmReport(NamedTuple):

@@ -41,10 +41,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
-    "BadMagicError",
-    "VersionError",
-    "TruncatedError",
-    "ArchMismatchError",
 ]
 
 LOGP_CLAMP = -80.0
@@ -298,23 +294,7 @@ def policy_backward(params: PolicyParams, batch: PolicyBatch, upstream) -> None:
 
 
 class CheckpointError(Exception):
-    """Base class for checkpoint file problems."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class ArchMismatchError(CheckpointError):
-    pass
+    """A checkpoint file that cannot be loaded; the message says why."""
 
 
 _MAGIC = b"MGPO"
@@ -353,23 +333,23 @@ def load_checkpoint(path: str, expect_arch: PolicyArch | None = None) -> PolicyP
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than header")
+        raise CheckpointError(f"{path}: file shorter than header")
     magic, version, n, k, hidden, embed, count = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
-        raise VersionError(f"{path}: unsupported format version {version}")
+        raise CheckpointError(f"{path}: unsupported format version {version}")
     arch = PolicyArch(length=n, num_categories=k, hidden=hidden, embed=embed)
     if count != arch.param_count:
-        raise TruncatedError(
+        raise CheckpointError(
             f"{path}: header declares {count} params, architecture needs {arch.param_count}"
         )
     body = raw[_HEADER.size :]
     if len(body) != 8 * count:
-        raise TruncatedError(
+        raise CheckpointError(
             f"{path}: expected {8 * count} payload bytes, found {len(body)}"
         )
     if expect_arch is not None and arch != expect_arch:
-        raise ArchMismatchError(f"{path}: checkpoint arch {arch} != expected {expect_arch}")
+        raise CheckpointError(f"{path}: checkpoint arch {arch} != expected {expect_arch}")
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
     return PolicyParams(arch=arch, params=params, grads=np.zeros(count))

@@ -54,7 +54,7 @@ class TestCanvasState:
         state = CanvasState.all_masked(5, 3)
         assert state.num_masked == 5
         assert state.iteration == 0
-        assert (state.tokens == state.mask_value).all()
+        assert (state.tokens == state.num_categories).all()
 
     def test_flags_must_match_sentinel(self):
         with pytest.raises(ValueError):
@@ -108,16 +108,16 @@ class TestApplyStep:
             before = state.num_masked
             state = apply_step(state, positions, [0] * len(positions))
             assert state.num_masked == before - len(positions)
-            assert ((state.tokens == state.mask_value) == state.mask_flags).all()
-        assert state.is_complete
+            assert ((state.tokens == state.num_categories) == state.mask_flags).all()
+        assert state.num_masked == 0
 
     def test_schedule_drives_blank_to_complete(self):
         sched = schedule_cosine(4, 10)
         state = CanvasState.all_masked(10, 3)
         for count in sched.counts:
-            masked = state.masked_positions()[:count]
+            masked = np.flatnonzero(state.mask_flags)[:count]
             state = apply_step(state, masked, np.zeros(count, dtype=int))
-        assert state.is_complete
+        assert state.num_masked == 0
         assert state.iteration == sched.total_steps
 
 

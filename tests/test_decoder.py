@@ -47,8 +47,8 @@ class TestSampleStep:
 
     def test_fixed_seed_reproduces_sequence(self):
         pm = ProbMatrix.from_rows(np.full((8, 4), 0.25))
-        a = sample_step(pm, rng_for_stream(11, 5))[0]
-        b = sample_step(pm, rng_for_stream(11, 5))[0]
+        a = sample_step(pm, rng_for_stream(11))[0]
+        b = sample_step(pm, rng_for_stream(11))[0]
         assert np.array_equal(a, b)
 
     def test_zero_probability_tokens_never_sampled(self):
@@ -106,7 +106,7 @@ class TestRollout:
         traj = rollout(params, prompt, schedule_uniform(1, 4), TransitionKind.EXACT, seed=2)
         assert traj.total_steps == 1
         assert traj.states[0].num_masked == 4
-        assert traj.final_state.is_complete
+        assert traj.final_state.num_masked == 0
         # Keeping everything makes all three definitions coincide: the
         # recorded value must equal the plain sum of log confidences.
         want = np.log(traj.outcomes[0].confidences).sum()
@@ -130,8 +130,8 @@ class TestRollout:
         with pytest.raises(ValueError, match="less than 2\\*\\*128"):
             rollout(params, prompt, schedule_cosine(2, 4), TransitionKind.EXACT, seed=seed)
         with pytest.raises(ValueError):
-            rng_for_stream(0, -1)
-        assert rng_for_stream(2**128 - 1).random() == rng_for_stream(2**128 - 2, 1).random()
+            rng_for_stream(seed)
+        assert 0.0 <= rng_for_stream(2**128 - 1).random() < 1.0
 
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_kind_given_as_its_string_is_refused(self, kind):

@@ -1,0 +1,30 @@
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import maskgrpo
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(maskgrpo.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"maskgrpo.{name}")
+    assert module.__all__, f"maskgrpo.{name} exports nothing"
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert not missing, f"maskgrpo.{name}.__all__ names {missing}, which the module does not define"
+
+
+def test_package_names_are_the_objects_their_modules_export():
+    public = {
+        name: obj
+        for name, obj in vars(maskgrpo).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public
+    for name, obj in public.items():
+        module = importlib.import_module(obj.__module__)
+        assert name in module.__all__, f"{name} is not in {obj.__module__}.__all__"
+        assert getattr(module, name) is obj, f"maskgrpo.{name} is not {obj.__module__}.{name}"

@@ -26,7 +26,7 @@ from maskgrpo import (
     train,
 )
 from maskgrpo import filtering, grpo
-from maskgrpo.grpo import LossPass, active_steps
+from maskgrpo.grpo import LossPass, ReductionKind, active_steps
 from maskgrpo.policy import _views_of
 from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
 from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
@@ -99,6 +99,10 @@ class TestKlStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             kl_step(np.ones((1, 2)) / 2, np.ones((2, 2)) / 2)
+
+    def test_zero_entry_scores_zero_and_nan_entry_reaches_the_sum(self):
+        assert kl_step(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])) == np.log(2.0)
+        assert np.isnan(kl_step(np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])))
 
 
 class TestAdam:
@@ -232,7 +236,7 @@ class TestLossAndGrad:
         assert obj_kl < obj_plain
 
     @pytest.mark.parametrize("compute_grad", [True, False])
-    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction(ReductionKind.COMPUTE_SUBSET, 1, 3)])
     @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_batched_pass_matches_per_state_reference(self, kind, kl_beta, reduction, compute_grad):
@@ -328,14 +332,14 @@ class TestLossAndGrad:
         # subsets, then compare their mean over the window with the windowed
         # objective.
         sub_cfg = GrpoConfig(
-            group_size=3, seed=7, reduction=Reduction.compute_subset(1, 3)
+            group_size=3, seed=7, reduction=Reduction(ReductionKind.COMPUTE_SUBSET, 1, 3)
         )
         params.zero_grads()
         windowed, _ = grpo_loss_and_grad([group], params, None, sub_cfg)
         per_step = []
         for t in range(4):
             cfg_t = GrpoConfig(
-                group_size=3, seed=7, reduction=Reduction.compute_subset(t, t + 1)
+                group_size=3, seed=7, reduction=Reduction(ReductionKind.COMPUTE_SUBSET, t, t + 1)
             )
             params.zero_grads()
             value, _ = grpo_loss_and_grad([group], params, None, cfg_t)
@@ -347,12 +351,12 @@ class TestLossAndGrad:
 
     def test_subset_range_validation(self):
         group, params = frozen_group(seed=8, t=3)
-        config = GrpoConfig(group_size=4, seed=8, reduction=Reduction.compute_subset(0, 9))
+        config = GrpoConfig(group_size=4, seed=8, reduction=Reduction(ReductionKind.COMPUTE_SUBSET, 0, 9))
         with pytest.raises(ValueError):
             grpo_loss_and_grad([group], params, None, config)
-        assert active_steps(Reduction.compute_subset(1, 3), 4).tolist() == [1, 2]
+        assert active_steps(Reduction(ReductionKind.COMPUTE_SUBSET, 1, 3), 4).tolist() == [1, 2]
         with pytest.raises(ValueError):
-            Reduction.compute_subset(2, 2)
+            Reduction(ReductionKind.COMPUTE_SUBSET, 2, 2)
 
     @pytest.mark.parametrize(
         "fields, match",
@@ -377,7 +381,7 @@ class TestLossAndGrad:
 
 class TestLossPass:
     @pytest.mark.parametrize("compute_grad", [True, False])
-    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction(ReductionKind.COMPUTE_SUBSET, 1, 3)])
     @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_evaluate_at_new_params_equals_a_fresh_pass(self, kind, kl_beta, reduction, compute_grad):
@@ -461,7 +465,7 @@ class TestLossPass:
         numeric = _fd_gradient(loss.objectives, probe.params, 1e-5)
         assert _grad_mismatch(analytic, numeric)[0] < 1e-4
 
-    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.compute_subset(1, 3)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction(ReductionKind.COMPUTE_SUBSET, 1, 3)])
     @pytest.mark.parametrize("kl_beta", [0.0, 0.5])
     @pytest.mark.parametrize("kind", list(TransitionKind))
     def test_stacked_objectives_equal_evaluate_at_each_copy(self, kind, kl_beta, reduction):
@@ -614,7 +618,7 @@ class TestTrain:
         group, params = frozen_group(seed=9, t=3, g=3)
         group.advantages = np.array([2.0, 0.5, 0.5])
         for t in range(3):
-            cfg = GrpoConfig(group_size=3, seed=9, reduction=Reduction.compute_subset(t, t + 1))
+            cfg = GrpoConfig(group_size=3, seed=9, reduction=Reduction(ReductionKind.COMPUTE_SUBSET, t, t + 1))
             params.zero_grads()
             value, _ = grpo_loss_and_grad([group], params, None, cfg)
             assert value == pytest.approx(1.0, abs=1e-12)
@@ -677,7 +681,7 @@ class TestTrain:
         assert len(metrics) == 60
         assert all(np.isfinite([row["loss"], row["grad_norm"], row["mean_ratio"]]).all() for row in metrics)
 
-    @pytest.mark.parametrize("reduction", [Reduction(), Reduction.unmask_reduce(2)])
+    @pytest.mark.parametrize("reduction", [Reduction(), Reduction(ReductionKind.UNMASK_REDUCE, train_steps=2)])
     def test_evaluation_decodes_the_full_schedule_on_the_eval_stream(self, reduction):
         setup = dataclasses.replace(
             pattern_setup(iterations=3, temperature=0.7, reduction=reduction), eval_rollouts=5
@@ -701,7 +705,7 @@ class TestTrain:
         assert eval_rewards.shape == (0,) and eval_rewards.dtype == np.float64
 
     def test_unmask_reduce_schedule_still_covers_canvas(self):
-        setup = pattern_setup(iterations=2, reduction=Reduction.unmask_reduce(2))
+        setup = pattern_setup(iterations=2, reduction=Reduction(ReductionKind.UNMASK_REDUCE, train_steps=2))
         sched = setup.schedule_for(2)
         assert sched.total_steps == 2
         assert sched.total_tokens == setup.arch.length

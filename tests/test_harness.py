@@ -164,6 +164,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(write_config(tmp_path, "reward_target=0,x\n"))
 
+    def test_reward_count_message_names_the_half_canvas_default(self):
+        message = r"reward_count must lie in \[0, canvas_n\], or be -1 for canvas_n // 2, got -2"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(reward="count", reward_count=-2)
+        half = ExperimentConfig(reward="count", reward_count=3, canvas_n=6, steps=3).prompt()
+        assert ExperimentConfig(reward="count", reward_count=-1, canvas_n=6, steps=3).prompt() == half
+
     def test_settings_are_fixed_once_checked(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExperimentConfig().train_steps = 4
@@ -210,20 +217,22 @@ class TestCmdTrain:
         assert (out / "ckpt_000002.ckpt").exists()
         assert (out / "ckpt_000004.ckpt").exists()
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("MASKGRPO_OUT", str(target))
-        text = "iterations=1\ncanvas_n=4\ncanvas_k=2\nsteps=2\nhidden=8\nembed=4\ngroup_size=2\neval_rollouts=0\n"
-        cmd_train(write_config(tmp_path, text), None)
-        assert (target / "metrics.csv").exists()
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("x", "Not a directory")])
+    def test_output_directory_that_cannot_be_made_exits_2(self, tmp_path, monkeypatch, capsys, sub, reason):
+        monkeypatch.setattr(grpo, "train", lambda *a, **k: pytest.fail("training started"))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = str(blocker / sub)
+        text = "iterations=1\ncanvas_n=4\ncanvas_k=2\nsteps=2\nhidden=8\nembed=4\ngroup_size=2\n"
+        assert main(["train", "-c", write_config(tmp_path, text), "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot create output directory {out!r}: {reason}\n"
+        assert blocker.read_text() == "kept"
 
-    def test_resample_budget_wider_than_the_stream_key_is_refused(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_resample_budget_wider_than_the_stream_key_is_refused(self, tmp_path, capsys):
         # Attempt 256 would share its rollout stream with the next iteration.
         with pytest.raises(ValueError, match="max_resamples=256 exceeds 255"):
             ExperimentConfig(filter_max_resamples=256, iterations=1).train_setup()
-        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
         out = tmp_path / "run"
         text = f"filter_max_resamples=256\niterations=1\nout_dir={out}\n"
         assert main(["train", "-c", write_config(tmp_path, text)]) == 2
@@ -245,8 +254,7 @@ class TestCmdTrain:
             ("adam_eps", "inf"),
         ],
     )
-    def test_out_of_range_setting_exits_2_naming_its_key(self, tmp_path, monkeypatch, capsys, key, raw):
-        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+    def test_out_of_range_setting_exits_2_naming_its_key(self, tmp_path, capsys, key, raw):
         out = tmp_path / "run"
         text = f"{key}={raw}\niterations=1\nout_dir={out}\n"
         assert main(["train", "-c", write_config(tmp_path, text)]) == 2
@@ -255,8 +263,7 @@ class TestCmdTrain:
         assert err.startswith("error: ") and f"{key} must" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-    def test_seed_outside_philox_keys_exits_2_before_the_header(self, tmp_path, monkeypatch, capsys, seed):
-        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+    def test_seed_outside_philox_keys_exits_2_before_the_header(self, tmp_path, capsys, seed):
         out = tmp_path / "run"
         text = f"seed={seed}\niterations=1\nout_dir={out}\n"
         assert main(["train", "-c", write_config(tmp_path, text)]) == 2
@@ -264,8 +271,7 @@ class TestCmdTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"seed must lie in [0, 2**128)" in err
 
-    def test_subset_keys_without_subset_reduction_exit_2_before_the_header(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+    def test_subset_keys_without_subset_reduction_exit_2_before_the_header(self, tmp_path, capsys):
         out = tmp_path / "run"
         text = f"subset_start=2\nsubset_stop=6\niterations=1\nout_dir={out}\n"
         assert main(["train", "-c", write_config(tmp_path, text)]) == 2
@@ -277,8 +283,7 @@ class TestCmdTrain:
         "text, key",
         [("reward=count\nreward_target=0,1\n", "reward_target"), ("reward_value=3\nreward_count=2\n", "reward_value")],
     )
-    def test_keys_of_the_other_reward_exit_2_before_the_header(self, tmp_path, monkeypatch, capsys, text, key):
-        monkeypatch.delenv("MASKGRPO_OUT", raising=False)
+    def test_keys_of_the_other_reward_exit_2_before_the_header(self, tmp_path, capsys, text, key):
         out = tmp_path / "run"
         assert main(["train", "-c", write_config(tmp_path, f"{text}iterations=0\nout_dir={out}\n")]) == 2
         assert not (out / "metrics.csv").exists()
@@ -490,7 +495,8 @@ class TestNonFiniteQuantities:
         monkeypatch.setattr(dd, "reverse_posterior", lambda x_t, x0, q_t, qbar_prev: np.full(len(q_t), np.nan))
         assert main(["d3pm"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("  worst posterior vs paths gap ") and " = nan  (bound" in line for line in out)
+        for label in ("worst posterior vs paths gap", "smallest elbo term", "elbo at the true posterior"):
+            assert any(line.startswith(f"  {label} ") and " = nan  (bound" in line for line in out), label
         assert out[-1] == "d3pm: FAIL"
 
     def test_nan_exact_log_probability_reaches_the_verify_report(self, monkeypatch):

@@ -14,10 +14,7 @@ from maskgrpo import (
     save_checkpoint,
 )
 from maskgrpo.policy import (
-    ArchMismatchError,
-    BadMagicError,
-    TruncatedError,
-    VersionError,
+    CheckpointError,
     _layers,
     _views_of,
     encode_batch,
@@ -321,7 +318,7 @@ class TestCheckpoints:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path):
@@ -331,7 +328,7 @@ class TestCheckpoints:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionError):
+        with pytest.raises(CheckpointError, match="unsupported format version 99"):
             load_checkpoint(str(path))
 
     def test_truncated_file(self, tmp_path):
@@ -340,7 +337,7 @@ class TestCheckpoints:
         save_checkpoint(params, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(CheckpointError, match="payload bytes"):
             load_checkpoint(str(path))
 
     def test_arch_mismatch(self, tmp_path):
@@ -348,5 +345,5 @@ class TestCheckpoints:
         path = tmp_path / "p.ckpt"
         save_checkpoint(params, str(path))
         other = PolicyArch(length=5, num_categories=3, hidden=8, embed=4)
-        with pytest.raises(ArchMismatchError):
+        with pytest.raises(CheckpointError, match="checkpoint arch"):
             load_checkpoint(str(path), expect_arch=other)

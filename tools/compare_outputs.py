@@ -78,7 +78,6 @@ ELAPSED = re.compile(r"^(\s*elapsed:).*$", re.MULTILINE)
 
 def run_python(checkout: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    env.pop("MASKGRPO_OUT", None)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
