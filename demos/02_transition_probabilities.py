@@ -22,15 +22,8 @@ Brute-force enumeration over all 4 joint samplings confirms the exact form.
 
 import numpy as np
 
-from maskgrpo import ProbMatrix
-from maskgrpo.transition import (
-    StepOutcome,
-    TransitionKind,
-    cam_select,
-    enumerate_next_states,
-    oracle_check,
-    step_logprob,
-)
+from maskgrpo import ProbMatrix, transition
+from maskgrpo.transition import StepOutcome, TransitionKind, cam_select, step_logprob
 
 probs = ProbMatrix.from_rows([[0.5, 0.5], [0.7, 0.3]])
 outcome = StepOutcome(
@@ -50,15 +43,18 @@ for kind, label, note in (
 print()
 
 print("== Brute-force enumeration of all joint samplings ==")
-table = enumerate_next_states(probs, 1)
-for sig, p in sorted(table.items(), key=lambda kv: -kv[1]):
-    print(f"  keep position {sig.positions[0]} as token {sig.values[0]}: probability {p:.4f}")
-print(f"  total: {sum(table.values()):.10f}")
+# One row per next state: 0 for a remasked position, 1 + the token for a kept one.
+keys, sums = transition._next_state_arrays(probs, 1)
+for key, p in sorted(zip(keys.tolist(), sums.tolist()), key=lambda kv: -kv[1]):
+    position = next(r for r, digit in enumerate(key) if digit)
+    print(f"  keep position {position} as token {key[position] - 1}: probability {p:.4f}")
+print(f"  total: {sum(sums.tolist()):.10f}")
 print()
 
-check = oracle_check(probs, outcome)
+enumerated = transition._probability_of(keys, sums, outcome)
+modeled = float(np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)))
 print("== Oracle agreement for the outcome above ==")
-print(f"enumerated {check.enumerated:.10f}  closed form {check.modeled:.10f}  diff {check.abs_diff:.2e}")
+print(f"enumerated {enumerated:.10f}  closed form {modeled:.10f}  diff {abs(enumerated - modeled):.2e}")
 print()
 
 print("== Ordering: AR-style <= exact <= kept-only, on random instances ==")

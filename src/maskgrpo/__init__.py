@@ -28,7 +28,6 @@ from .grpo import (
     adam_step,
     group_advantages,
     grpo_loss_and_grad,
-    kl_step,
     train,
 )
 from .policy import (
@@ -50,7 +49,6 @@ from .transition import (
     TransitionKind,
     cam_select,
     enumerate_next_states,
-    oracle_check,
     step_logprob,
 )
 

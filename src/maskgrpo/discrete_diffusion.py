@@ -5,8 +5,8 @@ transition matrices; the absorbing variant sends mass into the mask category
 and never out, which is exactly the corruption the unmasking decoder runs in
 reverse.  This module builds the uniform and absorbing matrices, the
 closed-form and matrix-product forward marginals, the Bayes posterior of the
-previous state, and the per-step KL terms of the variational bound.  It is a
-verification companion: nothing here is wired into the trainer.
+previous state, and the per-step KL terms of the variational bound, summed from
+the trainer's ``grpo._kl_terms``.  A verification companion, not wired into it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import enum
 import itertools
 
 import numpy as np
+
+from .grpo import _kl_terms
 
 __all__ = [
     "MatrixKind",
@@ -112,12 +114,6 @@ def reverse_posterior_enumerated(
     return joint_prev / total
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(p != 0.0, p * (np.log(p) - np.log(q)), 0.0)
-    return float(contrib.sum())
-
-
 def elbo_terms(
     x0: int, num_states: int, rates, kind: MatrixKind, predicted_x0: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -157,6 +153,6 @@ def elbo_terms(
                     # carries no defined posterior; it simply contributes
                     # nothing (KL stays >= 0 against the submass).
                     continue
-            term += marg_t[x_t] * _kl(true_post, model)
+            term += marg_t[x_t] * _kl_terms(true_post, model).sum()
         terms[t - 1] = term
     return terms, float(terms.sum())

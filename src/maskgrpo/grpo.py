@@ -52,7 +52,6 @@ __all__ = [
     "TrainResult",
     "METRICS_COLUMNS",
     "group_advantages",
-    "kl_step",
     "LossPass",
     "grpo_loss_and_grad",
     "adam_step",
@@ -172,15 +171,6 @@ def group_advantages(rewards) -> tuple[np.ndarray, bool]:
     if std < 1e-12:
         return np.zeros_like(rewards), True
     return (rewards - rewards.mean()) / std, False
-
-
-def kl_step(rows_new: np.ndarray, rows_ref: np.ndarray) -> float:
-    """Categorical KL(new || ref) summed over the given rows."""
-    rows_new = np.asarray(rows_new, dtype=np.float64)
-    rows_ref = np.asarray(rows_ref, dtype=np.float64)
-    if rows_new.shape != rows_ref.shape:
-        raise ValueError(f"row shapes differ: {rows_new.shape} vs {rows_ref.shape}")
-    return float(_kl_terms(rows_new, rows_ref).sum())
 
 
 def _kl_terms(rows_new: np.ndarray, rows_ref: np.ndarray) -> np.ndarray:

@@ -373,6 +373,7 @@ class VerifyReport(NamedTuple):
     worst_enum_sum_diff: float
     worst_model_sum_diff: float
     ordering_violations: int
+    tied_trials: int
 
     passed = property(_within_bounds)
 
@@ -383,11 +384,13 @@ class VerifyReport(NamedTuple):
             ("worst |sum(enumeration) - 1|", self.worst_enum_sum_diff, "<", 1e-10),
             ("worst |sum(closed-form) - 1|", self.worst_model_sum_diff, "<", 1e-10),
             ("ordering violations", self.ordering_violations, "==", 0),
+            ("tied trials", self.tied_trials, None, None),
         ]
 
 
 def _random_prob_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    raw = rng.gamma(shape=1.0, scale=1.0, size=(m, k)) + 1e-6
+    """Smooth rows, or in about a quarter of draws integer weights 1-3, whose probabilities tie."""
+    raw = rng.integers(1, 4, (m, k)) if rng.random() < 0.25 else rng.gamma(1.0, 1.0, (m, k)) + 1e-6
     return raw / raw.sum(axis=1, keepdims=True)
 
 
@@ -411,12 +414,12 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
 
     Per trial: random prediction rows, a sampled outcome, then (a) the exact
     definition against brute-force enumeration, (b) enumeration and model
-    normalisation, (c) the AR <= exact <= kept-only ordering chain.
-    Confidence ties are asserted like every other instance.
+    normalisation, (c) the AR <= exact <= kept-only ordering chain.  About a quarter
+    of the trials draw rows whose probabilities tie, asserted like every other instance.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst_oracle = worst_enum_sum = worst_model_sum = 0.0
-    violations = 0
+    violations = tied = 0
     for _ in range(trials):
         m = int(rng.integers(1, 5))
         k = int(rng.integers(2, 5))
@@ -436,12 +439,16 @@ def run_verify(trials: int, seed: int) -> VerifyReport:
             violations += 1
         if np.all(outcome.chosen) and not (lp_ar == lp_exact == lp_kept):
             violations += 1
+        # A tie: a remasked token, or a second kept sample, as likely as the smallest kept confidence.
+        kept = outcome.confidences[outcome.chosen]
+        tied += bool((probs.rows[~outcome.chosen] == kept.min()).any() or (kept == kept.min()).sum() > 1)
     return VerifyReport(
         trials=trials,
         worst_oracle_diff=worst_oracle,
         worst_enum_sum_diff=worst_enum_sum,
         worst_model_sum_diff=worst_model_sum,
         ordering_violations=violations,
+        tied_trials=tied,
     )
 
 

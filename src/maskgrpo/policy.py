@@ -339,7 +339,10 @@ def load_checkpoint(path: str, expect_arch: PolicyArch | None = None) -> PolicyP
         raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    arch = PolicyArch(length=n, num_categories=k, hidden=hidden, embed=embed)
+    try:
+        arch = PolicyArch(length=n, num_categories=k, hidden=hidden, embed=embed)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     if count != arch.param_count:
         raise CheckpointError(
             f"{path}: header declares {count} params, architecture needs {arch.param_count}"
@@ -352,4 +355,7 @@ def load_checkpoint(path: str, expect_arch: PolicyArch | None = None) -> PolicyP
     if expect_arch is not None and arch != expect_arch:
         raise CheckpointError(f"{path}: checkpoint arch {arch} != expected {expect_arch}")
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return PolicyParams(arch=arch, params=params, grads=np.zeros(count))
+    try:
+        return PolicyParams(arch=arch, params=params, grads=np.zeros(count))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -25,10 +25,11 @@ at each copy of a stacked forward, all copies sharing the outcomes:
 * ``UNMASKED_ONLY`` - product of confidences over the kept positions alone,
   a cheaper surrogate that ignores the remasked factor entirely.
 
-``_next_state_arrays`` (and its dict view ``enumerate_next_states``) is the
-independent check: it walks every joint sampling, selects by its own rule (it
-shares no code with ``cam_select``), and sums exact next-state probabilities.
-The ``EXACT`` definition must agree with it to float precision, ties included.
+``_next_state_arrays`` (and its dict view ``enumerate_next_states``, keyed by
+plain ``(kept positions, kept tokens)`` tuples) is the independent check: it
+walks every joint sampling, selects by its own rule (it shares no code with
+``cam_select``), and sums exact next-state probabilities.  The ``EXACT``
+definition must agree with it to float precision, ties included.
 
 Gradients treat the support sets and the identity of the minimum-confidence
 kept position as locally constant; that is the almost-everywhere gradient of
@@ -40,8 +41,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .policy import ProbMatrix
@@ -54,9 +53,6 @@ __all__ = [
     "step_logprob",
     "step_logprob_upstream",
     "enumerate_next_states",
-    "signature_of_outcome",
-    "representative_outcome",
-    "oracle_check",
 ]
 
 MAX_ENUMERATION = 10**6
@@ -223,20 +219,6 @@ def step_logprob_upstream(
     return value.item(), upstream
 
 
-class NextState(NamedTuple):
-    """Signature of one possible next canvas: kept positions and their tokens."""
-
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
-
-
-def signature_of_outcome(outcome: StepOutcome) -> NextState:
-    pos = outcome.chosen_positions()
-    vals = outcome.chosen_values()
-    order = np.argsort(pos)
-    return NextState(tuple(int(p) for p in pos[order]), tuple(int(v) for v in vals[order]))
-
-
 # Samplings per block of the enumeration: it bounds the block's arrays (about
 # 3 MB at ``MAX_ENUMERATION``), and a larger block runs no faster.
 _CHUNK = 1 << 12
@@ -276,12 +258,12 @@ def _next_state_arrays(probs: ProbMatrix, num_to_keep: int) -> tuple[np.ndarray,
     return np.array(list(sums), dtype=np.int64).reshape(len(sums), m), np.array(list(sums.values()))
 
 
-def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[NextState, float]:
-    """The table of :func:`_next_state_arrays` as a dict keyed by signature."""
+def enumerate_next_states(probs: ProbMatrix, num_to_keep: int) -> dict[tuple, float]:
+    """The table of :func:`_next_state_arrays` keyed by ``(kept positions, their tokens)``."""
     keys, sums = _next_state_arrays(probs, num_to_keep)
     positions = probs.positions.tolist()
     return {
-        NextState(tuple(positions[r] for r, d in enumerate(key) if d), tuple(d - 1 for d in key if d)): p
+        (tuple(positions[r] for r, d in enumerate(key) if d), tuple(d - 1 for d in key if d)): p
         for key, p in zip(keys.tolist(), sums.tolist())
     }
 
@@ -297,28 +279,3 @@ def _representatives(probs: ProbMatrix, keys: np.ndarray) -> tuple[np.ndarray, n
     of ``keys``; a remasked row, which ``EXACT`` ignores, takes its least likely token."""
     chosen = keys > 0
     return np.where(chosen, keys - 1, probs.rows.argmin(axis=1)), chosen
-
-
-def representative_outcome(probs: ProbMatrix, signature: NextState) -> StepOutcome:
-    """Build one outcome realising ``signature``, as ``_representatives`` does."""
-    key = np.zeros(probs.num_rows, dtype=np.int64)
-    key[[probs.positions.tolist().index(p) for p in signature.positions]] = np.add(signature.values, 1)
-    (sampled,), (chosen,) = _representatives(probs, key[None])
-    confidences = probs.rows[np.arange(probs.num_rows), sampled]
-    return StepOutcome(sampled=sampled, confidences=confidences, chosen=chosen, positions=probs.positions)
-
-
-class OracleCheck(NamedTuple):
-    enumerated: float
-    modeled: float
-    abs_diff: float
-
-
-def oracle_check(probs: ProbMatrix, outcome) -> OracleCheck:
-    """Compare the closed-form exact definition against brute-force enumeration."""
-    try:
-        modeled = float(np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)))
-    except DegenerateOutcomeError:
-        modeled = 0.0
-    enumerated = _probability_of(*_next_state_arrays(probs, outcome.num_chosen), outcome)
-    return OracleCheck(enumerated, modeled, abs(enumerated - modeled))

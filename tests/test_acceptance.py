@@ -13,15 +13,8 @@ from maskgrpo import ProbMatrix, TransitionKind, group_advantages
 from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.filtering import Decision, StdHistory, admit
 from maskgrpo.harness import ExperimentConfig, run_d3pm_suite, run_gradcheck, run_verify
-from maskgrpo import grpo
-from maskgrpo.transition import (
-    StepOutcome,
-    cam_select,
-    enumerate_next_states,
-    oracle_check,
-    representative_outcome,
-    step_logprob,
-)
+from maskgrpo import grpo, transition
+from maskgrpo.transition import StepOutcome, cam_select, step_logprob
 
 SEEDS = (101, 202, 303, 404, 505)
 TRAIN_ITERATIONS = 500
@@ -120,9 +113,10 @@ def test_criterion_1_transition_exactness(instances, tie_instances):
     start = time.perf_counter()
     worst = 0.0
     for probs, outcome in instances + tie_instances:
-        check = oracle_check(probs, outcome)
-        assert check.abs_diff < 1e-10
-        worst = max(worst, check.abs_diff)
+        enumerated = transition._probability_of(*transition._next_state_arrays(probs, outcome.num_chosen), outcome)
+        diff = abs(enumerated - np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)))
+        assert diff < 1e-10
+        worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(
@@ -134,13 +128,14 @@ def test_criterion_1_transition_exactness(instances, tie_instances):
 def test_criterion_2_normalization(instances, tie_instances):
     worst_enum = worst_model = 0.0
     for probs, outcome in instances + tie_instances:
-        table = enumerate_next_states(probs, outcome.num_chosen)
-        enum_total = sum(table.values())
+        keys, sums = transition._next_state_arrays(probs, outcome.num_chosen)
+        enum_total = sum(sums.tolist())
         assert abs(enum_total - 1.0) < 1e-10
-        model_total = sum(
-            np.exp(step_logprob(TransitionKind.EXACT, probs, representative_outcome(probs, sig)))
-            for sig in table
-        )
+        model_total = 0.0
+        for sampled, chosen in zip(*transition._representatives(probs, keys)):
+            confs = probs.rows[np.arange(probs.num_rows), sampled]
+            rep = StepOutcome(sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions)
+            model_total += np.exp(step_logprob(TransitionKind.EXACT, probs, rep))
         assert abs(model_total - 1.0) < 1e-10
         worst_enum = max(worst_enum, abs(enum_total - 1.0))
         worst_model = max(worst_model, abs(model_total - 1.0))

@@ -19,7 +19,7 @@ from maskgrpo import (
     schedule_uniform,
 )
 from maskgrpo.decoder import draw_outcome, dump_trajectory, rng_for_stream
-from maskgrpo.transition import enumerate_next_states, signature_of_outcome
+from maskgrpo.transition import _next_state_arrays
 
 
 class TestSampleStep:
@@ -213,19 +213,22 @@ class TestRollout:
         params, prompt = tiny_policy(n=4, k=4, seed=3, zero=False)
         sched = schedule_cosine(2, 4)
         probs = policy_forward(params, CanvasState.all_masked(4, 4), prompt, 1.0)
-        table = enumerate_next_states(probs, sched.counts[0])
+        keys, sums = _next_state_arrays(probs, sched.counts[0])
+        table = dict(zip(map(tuple, keys.tolist()), sums.tolist()))
         n = 20000
         freq = {}
         for start in range(0, n, 1000):
             seeds = list(range(start, start + 1000))
             for traj in rollout(params, prompt, sched, TransitionKind.EXACT, seed=seeds):
-                sig = signature_of_outcome(traj.outcomes[0])
-                freq[sig] = freq.get(sig, 0) + 1
+                outcome = traj.outcomes[0]
+                # Every position is masked at step 0, so the digit row is the canvas-wide one.
+                key = tuple(np.where(outcome.chosen, outcome.sampled + 1, 0).tolist())
+                freq[key] = freq.get(key, 0) + 1
         assert set(freq) <= set(table)
-        for sig, p in table.items():
-            observed = freq.get(sig, 0) / n
+        for key, p in table.items():
+            observed = freq.get(key, 0) / n
             sigma = max(np.sqrt(p * (1 - p) / n), 1e-4)
-            assert abs(observed - p) < 5 * sigma, (sig, observed, p)
+            assert abs(observed - p) < 5 * sigma, (key, observed, p)
 
     def test_dump_is_line_oriented(self):
         params, prompt = tiny_policy(n=4, k=3, zero=False)

@@ -19,14 +19,13 @@ from maskgrpo import (
     group_advantages,
     grpo_loss_and_grad,
     init_params,
-    kl_step,
     policy_forward,
     rollout,
     schedule_cosine,
     train,
 )
 from maskgrpo import filtering, grpo
-from maskgrpo.grpo import LossPass, ReductionKind, active_steps
+from maskgrpo.grpo import LossPass, ReductionKind, _kl_terms, active_steps
 from maskgrpo.policy import _views_of
 from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
 from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
@@ -77,13 +76,13 @@ class TestGroupAdvantages:
             group_advantages([1.0])
 
 
-class TestKlStep:
+class TestKlTerms:
     def test_identical_rows_zero(self):
         rows = np.array([[0.2, 0.8], [0.6, 0.4]])
-        assert kl_step(rows, rows) == 0.0
+        assert _kl_terms(rows, rows).sum() == 0.0
 
     def test_closed_form_value(self):
-        value = kl_step(np.array([[0.5, 0.5]]), np.array([[0.25, 0.75]]))
+        value = _kl_terms(np.array([[0.5, 0.5]]), np.array([[0.25, 0.75]])).sum()
         want = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
         assert value == pytest.approx(want, abs=1e-12)
         assert value == pytest.approx(0.1438, abs=1e-4)
@@ -94,15 +93,11 @@ class TestKlStep:
         rng = np.random.default_rng(seed)
         p = rng.dirichlet(np.ones(4), size=3)
         q = rng.dirichlet(np.ones(4), size=3)
-        assert kl_step(p, q) >= 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_step(np.ones((1, 2)) / 2, np.ones((2, 2)) / 2)
+        assert _kl_terms(p, q).sum() >= 0.0
 
     def test_zero_entry_scores_zero_and_nan_entry_reaches_the_sum(self):
-        assert kl_step(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])) == np.log(2.0)
-        assert np.isnan(kl_step(np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])))
+        assert _kl_terms(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])).sum() == np.log(2.0)
+        assert np.isnan(_kl_terms(np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])).sum())
 
 
 class TestAdam:
@@ -782,7 +777,7 @@ def per_state_loss_and_grad(groups, params, ref_params, config):
                 if config.kl_beta > 0.0:
                     ref = policy_forward(ref_params, state, traj.prompt, traj.temperature)
                     idx = np.flatnonzero(outcome.chosen)
-                    kl = kl_step(probs.rows[idx], ref.rows[idx])
+                    kl = float((probs.rows[idx] * (probs.log_rows[idx] - ref.log_rows[idx])).sum())
                     term -= config.kl_beta * kl
                     back[idx] += (norm * config.kl_beta) * probs.rows[idx] * (
                         probs.log_rows[idx] - ref.log_rows[idx]

@@ -41,7 +41,7 @@ from maskgrpo.harness import (
     run_verify,
 )
 from maskgrpo.policy import ProbMatrix, forward_encoded
-from maskgrpo.transition import enumerate_next_states, representative_outcome, step_logprob
+from maskgrpo.transition import StepOutcome, step_logprob
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -404,13 +404,22 @@ class TestCmdVerify:
         report = run_verify(200, seed=13)
         assert report.passed
 
+    def test_confidence_ties_are_drawn_asserted_and_printed(self):
+        report = run_verify(200, seed=13)
+        assert report.passed and report.tied_trials > 0
+        out = io.StringIO()
+        assert cmd_verify(200, 13, out=out) == 0
+        assert f"  {'tied trials':<48} = {report.tied_trials}\n" in out.getvalue()
 
-def loop_model_sum(probs, table):
+
+def loop_model_sum(probs, keys):
     """The reference model sum: one representative and one ``step_logprob`` per
     next state, added in table order."""
     total = 0.0
-    for sig in table:
-        total += float(np.exp(step_logprob(TransitionKind.EXACT, probs, representative_outcome(probs, sig))))
+    for sampled, chosen in zip(*transition._representatives(probs, keys)):
+        confs = probs.rows[np.arange(probs.num_rows), sampled]
+        rep = StepOutcome(sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions)
+        total += float(np.exp(step_logprob(TransitionKind.EXACT, probs, rep)))
     return total
 
 
@@ -427,8 +436,8 @@ class TestModelSum:
             rows = rng.multinomial(denom, np.full(k, 1.0 / k), size=m) / denom
         probs = ProbMatrix.from_rows(rows)
         n_keep = int(rng.integers(1, min(2, m) + 1))
-        want = loop_model_sum(probs, enumerate_next_states(probs, n_keep))
         keys, _ = transition._next_state_arrays(probs, n_keep)
+        want = loop_model_sum(probs, keys)
         assert np.float64(_model_sum(probs, keys)).tobytes() == np.float64(want).tobytes()
 
 
@@ -511,7 +520,7 @@ class TestNonFiniteQuantities:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_worst_value_fails_its_bound_and_prints(self, value):
-        report = harness.VerifyReport(1, value, 0.0, 0.0, 0)
+        report = harness.VerifyReport(1, value, 0.0, 0.0, 0, 0)
         out = io.StringIO()
         assert harness._write_report(out, "verify", "trials=1", report) == 1
         assert f"= {value}  (bound < 1e-10)" in out.getvalue()

@@ -347,3 +347,24 @@ class TestCheckpoints:
         other = PolicyArch(length=5, num_categories=3, hidden=8, embed=4)
         with pytest.raises(CheckpointError, match="checkpoint arch"):
             load_checkpoint(str(path), expect_arch=other)
+
+    @pytest.mark.parametrize(
+        "start, patch, message",
+        [
+            # The header's canvas length, bytes 8-11.
+            (8, bytes(4), "length must be at least 1, got 0"),
+            # The payload's first parameter.
+            (32, np.array([np.nan], dtype="<f8").tobytes(), "non-finite parameter values"),
+        ],
+        ids=["zero-length", "nan-payload"],
+    )
+    def test_invalid_header_or_payload_names_the_file(self, tmp_path, start, patch, message):
+        _, params, _, _ = small_setup()
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(params, str(path))
+        raw = bytearray(path.read_bytes())
+        raw[start : start + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(str(path))
+        assert str(caught.value) == f"{path}: {message}"

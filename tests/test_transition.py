@@ -7,13 +7,9 @@ from maskgrpo import ProbMatrix, TransitionKind, transition
 from maskgrpo.decoder import rng_for_stream, sample_step
 from maskgrpo.transition import (
     DegenerateOutcomeError,
-    NextState,
     StepOutcome,
     cam_select,
     enumerate_next_states,
-    oracle_check,
-    representative_outcome,
-    signature_of_outcome,
     step_logprob,
     step_logprob_upstream,
 )
@@ -191,7 +187,7 @@ def walk_next_states(probs, num_to_keep):
             continue
         chosen = cam_select(confs, num_to_keep)
         pos = probs.positions[chosen]
-        key = NextState(tuple(int(p) for p in pos), tuple(int(v) for v in tokens[chosen]))
+        key = (tuple(int(p) for p in pos), tuple(int(v) for v in tokens[chosen]))
         out[key] = out.get(key, 0.0) + joint
     return out
 
@@ -228,8 +224,8 @@ def walk_digits(probs, walk):
     row, 1 + the token for a kept one."""
     row_of = {p: r for r, p in enumerate(probs.positions.tolist())}
     keys = np.zeros((len(walk), probs.num_rows), dtype=np.int64)
-    for s, sig in enumerate(walk):
-        keys[s, [row_of[p] for p in sig.positions]] = np.add(sig.values, 1)
+    for s, (positions, tokens) in enumerate(walk):
+        keys[s, [row_of[p] for p in positions]] = np.add(tokens, 1)
     return keys
 
 
@@ -295,9 +291,10 @@ class TestEnumeration:
     def test_lookup_finds_the_outcomes_next_state_by_its_digits(self, fixture_f):
         keys, sums = transition._next_state_arrays(fixture_f, 1)
         table = enumerate_next_states(fixture_f, 1)
-        for outcome in (outcome_a(fixture_f), outcome_b(fixture_f)):
+        # outcome_a keeps position 1 as token 0, outcome_b position 0 as token 0.
+        for outcome, key in ((outcome_a(fixture_f), ((1,), (0,))), (outcome_b(fixture_f), ((0,), (0,)))):
             got = transition._probability_of(keys, sums, outcome)
-            assert got == table[signature_of_outcome(outcome)]
+            assert got == table[key]
         # Keeping row 1's token 1 (confidence 0.3) would need a sample of
         # row 0 below 0.3, and row 0 has none: the next state is absent.
         absent = StepOutcome(
@@ -306,23 +303,22 @@ class TestEnumeration:
             chosen=np.array([False, True]),
             positions=fixture_f.positions,
         )
-        assert signature_of_outcome(absent) not in table
+        assert ((1,), (1,)) not in table
         assert transition._probability_of(keys, sums, absent) == 0.0
-        assert oracle_check(fixture_f, absent).enumerated == 0.0
 
     def test_fixture_f_hand_enumeration(self, fixture_f):
         table = enumerate_next_states(fixture_f, 1)
-        assert table[NextState((1,), (0,))] == pytest.approx(0.70, abs=1e-12)
-        assert table[NextState((0,), (0,))] == pytest.approx(0.15, abs=1e-12)
-        assert table[NextState((0,), (1,))] == pytest.approx(0.15, abs=1e-12)
-        assert NextState((1,), (1,)) not in table
+        assert table[(1,), (0,)] == pytest.approx(0.70, abs=1e-12)
+        assert table[(0,), (0,)] == pytest.approx(0.15, abs=1e-12)
+        assert table[(0,), (1,)] == pytest.approx(0.15, abs=1e-12)
+        assert ((1,), (1,)) not in table
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_position_enumeration_is_the_row(self):
         probs = ProbMatrix.from_rows([[0.2, 0.3, 0.5]])
         table = enumerate_next_states(probs, 1)
         for token, p in enumerate([0.2, 0.3, 0.5]):
-            assert table[NextState((0,), (token,))] == pytest.approx(p, abs=1e-15)
+            assert table[(0,), (token,)] == pytest.approx(p, abs=1e-15)
 
     def test_deterministic_rows_give_single_signature(self):
         probs = ProbMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -340,12 +336,13 @@ class TestEnumeration:
 
 class TestOracle:
     def test_fixture_outcomes(self, fixture_f):
-        enum_a, model_a, diff_a = oracle_check(fixture_f, outcome_a(fixture_f))
-        assert (enum_a, model_a) == pytest.approx((0.70, 0.70), abs=1e-12)
-        assert diff_a < 1e-12
-        enum_b, model_b, diff_b = oracle_check(fixture_f, outcome_b(fixture_f))
-        assert (enum_b, model_b) == pytest.approx((0.15, 0.15), abs=1e-12)
-        assert diff_b < 1e-12
+        keys, sums = transition._next_state_arrays(fixture_f, 1)
+        for make, want in ((outcome_a, 0.70), (outcome_b, 0.15)):
+            outcome = make(fixture_f)
+            enumerated = transition._probability_of(keys, sums, outcome)
+            modeled = np.exp(step_logprob(TransitionKind.EXACT, fixture_f, outcome))
+            assert (enumerated, modeled) == pytest.approx((want, want), abs=1e-12)
+            assert abs(enumerated - modeled) < 1e-12
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_tie_free_instances(self, seed):
@@ -359,14 +356,16 @@ class TestOracle:
         outcome = StepOutcome(
             sampled=sampled, confidences=confs, chosen=chosen, positions=probs.positions
         )
-        assert oracle_check(probs, outcome).abs_diff < 1e-10
+        enumerated = transition._probability_of(*transition._next_state_arrays(probs, outcome.num_chosen), outcome)
+        assert abs(enumerated - np.exp(step_logprob(TransitionKind.EXACT, probs, outcome))) < 1e-10
 
-    def test_exact_sums_to_one_over_signatures(self, fixture_f):
-        table = enumerate_next_states(fixture_f, 1)
-        total = sum(
-            np.exp(step_logprob(TransitionKind.EXACT, fixture_f, representative_outcome(fixture_f, sig)))
-            for sig in table
-        )
+    def test_exact_sums_to_one_over_next_states(self, fixture_f):
+        keys, _ = transition._next_state_arrays(fixture_f, 1)
+        total = 0.0
+        for sampled, chosen in zip(*transition._representatives(fixture_f, keys)):
+            confs = fixture_f.rows[np.arange(2), sampled]
+            outcome = StepOutcome(sampled=sampled, confidences=confs, chosen=chosen, positions=fixture_f.positions)
+            total += np.exp(step_logprob(TransitionKind.EXACT, fixture_f, outcome))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_tie_instance_is_flagged_not_asserted(self):
@@ -381,9 +380,9 @@ class TestOracle:
             chosen=np.array([True, False]),
             positions=probs.positions,
         )
-        check = oracle_check(probs, outcome)
-        assert check.enumerated == pytest.approx(0.5, abs=1e-15)
-        assert check.modeled == pytest.approx(0.5, abs=1e-15)
+        enumerated = transition._probability_of(*transition._next_state_arrays(probs, 1), outcome)
+        assert enumerated == pytest.approx(0.5, abs=1e-15)
+        assert np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)) == pytest.approx(0.5, abs=1e-15)
 
     def test_saturated_rows_tie_at_one(self):
         # Float64 rounds the top token of a row with a logit gap of 40 to
@@ -400,9 +399,9 @@ class TestOracle:
             chosen=cam_select(confs, 1),
             positions=probs.positions,
         )
-        check = oracle_check(probs, outcome)
-        assert check.enumerated == pytest.approx(1.0, abs=1e-15)
-        assert check.modeled == pytest.approx(1.0, abs=1e-15)
+        enumerated = transition._probability_of(*transition._next_state_arrays(probs, 1), outcome)
+        assert enumerated == pytest.approx(1.0, abs=1e-15)
+        assert np.exp(step_logprob(TransitionKind.EXACT, probs, outcome)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestOrderingChain:
@@ -478,13 +477,18 @@ class TestUpstreamGradients:
         np.testing.assert_allclose(upstream[1], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(upstream[2], [0.5, 0.3, 0.2])
         table = enumerate_next_states(probs, 1)
-        assert table[signature_of_outcome(outcome)] == pytest.approx(0.25, abs=1e-15)
+        assert table[(1,), (0,)] == pytest.approx(0.25, abs=1e-15)
 
-    def test_signature_roundtrip(self, fixture_f):
-        sig = signature_of_outcome(outcome_b(fixture_f))
-        rep = representative_outcome(fixture_f, sig)
-        assert signature_of_outcome(rep) == sig
-        want = step_logprob(TransitionKind.EXACT, fixture_f, outcome_b(fixture_f))
+    def test_representative_scores_like_the_outcome(self, fixture_f):
+        # The representative of outcome_b's next state keeps row 0's token 0
+        # and gives remasked row 1 its least likely token, 1: outcome_b itself.
+        outcome = outcome_b(fixture_f)
+        keys, _ = transition._next_state_arrays(fixture_f, 1)
+        key = keys[(keys == np.where(outcome.chosen, outcome.sampled + 1, 0)).all(axis=1)]
+        (sampled,), (chosen,) = transition._representatives(fixture_f, key)
+        assert chosen.tolist() == outcome.chosen.tolist() and sampled.tolist() == [0, 1]
+        rep = StepOutcome(sampled, fixture_f.rows[[0, 1], sampled], chosen, fixture_f.positions)
+        want = step_logprob(TransitionKind.EXACT, fixture_f, outcome)
         assert step_logprob(TransitionKind.EXACT, fixture_f, rep) == want
 
 
