@@ -221,7 +221,6 @@ class TestRollout:
             seeds = list(range(start, start + 1000))
             for traj in rollout(params, prompt, sched, TransitionKind.EXACT, seed=seeds):
                 outcome = traj.outcomes[0]
-                # Every position is masked at step 0, so the digit row is the canvas-wide one.
                 key = tuple(np.where(outcome.chosen, outcome.sampled + 1, 0).tolist())
                 freq[key] = freq.get(key, 0) + 1
         assert set(freq) <= set(table)

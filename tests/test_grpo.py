@@ -76,7 +76,7 @@ class TestGroupAdvantages:
             group_advantages([1.0])
 
 
-class TestKlTerms:
+class TestKlStep:
     def test_identical_rows_zero(self):
         rows = np.array([[0.2, 0.8], [0.6, 0.4]])
         assert _kl_terms(rows, rows).sum() == 0.0

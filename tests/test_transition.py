@@ -359,7 +359,7 @@ class TestOracle:
         enumerated = transition._probability_of(*transition._next_state_arrays(probs, outcome.num_chosen), outcome)
         assert abs(enumerated - np.exp(step_logprob(TransitionKind.EXACT, probs, outcome))) < 1e-10
 
-    def test_exact_sums_to_one_over_next_states(self, fixture_f):
+    def test_exact_sums_to_one_over_signatures(self, fixture_f):
         keys, _ = transition._next_state_arrays(fixture_f, 1)
         total = 0.0
         for sampled, chosen in zip(*transition._representatives(fixture_f, keys)):
