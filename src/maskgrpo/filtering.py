@@ -41,6 +41,7 @@ class StdHistory:
             (0.0 < self.percentile < 100.0, "percentile", "lie in (0, 100)"),
             (self.window >= 1, "window", "be at least 1"),
             (self.warmup_min >= 1, "warmup_min", "be at least 1"),
+            (self.warmup_min <= self.window, "warmup_min", f"be at most window ({self.window})"),
             (self.max_resamples >= 0, "max_resamples", "be nonnegative"),
         ):
             if not ok:

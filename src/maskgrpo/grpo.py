@@ -362,9 +362,12 @@ def grpo_loss_and_grad(
     return LossPass(groups, params.arch, ref_params, config).evaluate(params, compute_grad)
 
 
+_ADAM_BLOCK = 1 << 15  # entries per block of ``adam_step``: 256 KB a vector, held in cache
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus one parameter-sized scratch buffer for the update."""
+    """Adam moments plus one block-sized scratch buffer for the update."""
 
     m: np.ndarray
     v: np.ndarray
@@ -372,7 +375,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = np.empty_like(self.m)
+        self.scratch = np.empty(min(self.m.size, _ADAM_BLOCK))
 
     @classmethod
     def for_params(cls, params: PolicyParams) -> "AdamState":
@@ -380,28 +383,32 @@ class AdamState:
 
 
 def adam_step(params: PolicyParams, state: AdamState, config: GrpoConfig) -> None:
-    """One Adam update on the accumulated gradient; grads are zeroed after.
+    """One Adam update on the accumulated gradient, which it leaves at zero.
 
-    ``m``, ``v`` and the parameters are updated in place, in the operation
-    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``params -= lr * (m/c1) / (sqrt(v/c2) + eps)`` with ``c1``, ``c2`` the
-    bias corrections; the scratch buffer and then the gradient buffer hold
-    the intermediates.
+    ``m``, ``v`` and the parameters are updated in place, one block of
+    ``_ADAM_BLOCK`` entries after another, in the operation order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``params -= lr *
+    (m/c1) / (sqrt(v/c2) + eps)`` with ``c1``, ``c2`` the bias corrections; the
+    scratch buffer and then the gradient hold a block's intermediates, and the
+    block's gradient is then cleared, which :func:`train` relies on.
     """
-    g, s = params.grads, state.scratch
     b1, b2 = config.adam_beta1, config.adam_beta2
     state.step_count += 1
-    state.m *= b1
-    state.m += np.multiply(g, 1.0 - b1, out=s)
-    state.v *= b2
-    state.v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
-    denom = np.sqrt(np.divide(state.v, 1.0 - b2**state.step_count, out=s), out=s)
-    denom += config.adam_eps
-    step = np.divide(state.m, 1.0 - b1**state.step_count, out=g)
-    step *= config.learning_rate
-    step /= denom
-    params.params -= step
-    params.zero_grads()
+    c1, c2 = 1.0 - b1**state.step_count, 1.0 - b2**state.step_count
+    for lo in range(0, params.params.size, _ADAM_BLOCK):
+        p, g, m, v = (a[lo : lo + _ADAM_BLOCK] for a in (params.params, params.grads, state.m, state.v))
+        s = state.scratch[: g.size]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+        denom = np.sqrt(np.divide(v, c2, out=s), out=s)
+        denom += config.adam_eps
+        step = np.divide(m, c1, out=g)
+        step *= config.learning_rate
+        step /= denom
+        p -= step
+        g.fill(0.0)
 
 
 # Stream tags keep training rollouts, evaluation and the decodes of
@@ -482,8 +489,9 @@ def train(
     One group per iteration: roll out ``group_size`` trajectories of the
     setup's prompt (on the reduced schedule when configured), score, filter
     on reward spread, normalise, then take ``inner_epochs`` surrogate/optimiser
-    steps.  Exhausting the resample budget logs a warning and falls back to
-    the last group.
+    steps, each accumulating into the gradient that initialisation or the
+    last :func:`adam_step` left at zero.  Exhausting the resample budget logs
+    a warning and falls back to the last group.
     """
     config, prompt = setup.config, setup.prompt
     params = init_params(setup.arch, config.seed)
@@ -519,7 +527,6 @@ def train(
         )
         loss = LossPass([group], params.arch, ref_params, config)
         for _ in range(config.inner_epochs):
-            params.zero_grads()
             try:
                 objective, stats = loss.evaluate(params)
             except FloatingPointError as err:

@@ -25,7 +25,7 @@ from maskgrpo import (
     train,
 )
 from maskgrpo import filtering, grpo
-from maskgrpo.grpo import LossPass, ReductionKind, _kl_terms, active_steps
+from maskgrpo.grpo import _ADAM_BLOCK, LossPass, ReductionKind, _kl_terms, active_steps
 from maskgrpo.policy import _views_of
 from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
 from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
@@ -133,12 +133,19 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
-    def test_in_place_update_is_bit_identical_to_the_expression(self):
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            PolicyArch(length=3, num_categories=3, hidden=5, embed=2),  # under one block
+            PolicyArch(length=64, num_categories=8, hidden=256, embed=16),  # 8 blocks and a partial one
+        ],
+    )
+    def test_in_place_update_is_bit_identical_to_the_expression(self, arch):
         config = self.config(learning_rate=0.05)
         b1, b2 = config.adam_beta1, config.adam_beta2
-        arch = PolicyArch(length=3, num_categories=3, hidden=5, embed=2)
         params = init_params(arch, seed=8)
         state = AdamState.for_params(params)
+        assert state.scratch.size <= _ADAM_BLOCK
         want, m, v = params.params.copy(), np.zeros(arch.param_count), np.zeros(arch.param_count)
         rng = np.random.default_rng(8)
         for step in range(1, 6):

@@ -147,6 +147,7 @@ class TestParseConfig:
             {"reduction": "subset", "subset_start": 5, "subset_stop": 3},
             {"hidden": 0},
             {"filter_window": 0},
+            {"filter_window": 10, "filter_warmup": 20},
         ],
     )
     def test_python_construction_refuses_like_the_file(self, tmp_path, keys):
@@ -156,6 +157,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as parsed:
             parse_config(path)
         assert str(parsed.value) == f"{path}: {built.value}"
+
+    def test_filter_warmup_longer_than_the_window_refused(self, tmp_path):
+        path = write_config(tmp_path, "filter_window=10\nfilter_warmup=20\n")
+        with pytest.raises(ConfigError, match=r"filter warmup_min must be at most window \(10\), got 20$"):
+            parse_config(path)
+        assert parse_config(write_config(tmp_path, "filter_window=20\nfilter_warmup=20\n")).filter_warmup == 20
 
     def test_non_integer_reward_target_token_names_the_key(self, tmp_path):
         message = "reward_target must be comma-separated integers, got '0,x'"

@@ -19,6 +19,12 @@ runs more iterations in a run can fail the benchmark's checks with
 unchanged outputs.  It records both git SHAs, the numpy version, its BLAS
 build and the repeat count.
 
+Each run also keeps the unscaled median op time and the median host-speed
+scale factor from ``bench/run.py``'s ``wall time, unscaled:`` stderr line,
+and the comparison holds both beside the scaled metrics.  A change that
+moves the kernel's scale factor moves every scaled time with it; these
+fields show whether an op got slower or the factor rose.
+
 After the timed runs, every workload runs once more per checkout on the
 first seed as ``bench/run.py --trace 1``.  Its per-layer table is recorded
 with the labels the tracer reported as absent (its ``trace: absent`` line):
@@ -32,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +59,11 @@ def blas_build() -> dict:
 
 
 ABSENT = "trace: absent, reported as 0: "
+# bench/run.py's stderr line of raw wall times and the host-speed scale factor.
+UNSCALED = re.compile(r"^wall time, unscaled: op_ms_p50=(\S+) .* median scale factor=(\S+)$", re.MULTILINE)
+# Per-run fields read from that line.  Each gets a comparison row in which lower
+# reads better: a lower scale factor is the one that lowers the scaled times.
+UNSCALED_FIELDS = ("unscaled_op_ms_p50", "median_scale_factor")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -67,6 +79,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+    match = UNSCALED.search(proc.stderr)
+    if match is None:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} printed no unscaled wall-time line:\n{proc.stderr}")
+    run.update(zip(UNSCALED_FIELDS, map(float, match.groups())))
     if trace:
         absent = next((line[len(ABSENT) :] for line in proc.stderr.splitlines() if line.startswith(ABSENT)), "")
         run["absent"] = absent.split(", ") if absent else []
@@ -139,12 +155,15 @@ def main(argv=None) -> int:
         },
     }
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better.update(dict.fromkeys(UNSCALED_FIELDS, "lower"))
     record["comparison"] = {}
     for w in workloads:
         rows = {}
         for name, direction in better.items():
-            a = [r["metrics"][name] for r in runs["parent"][w]]
-            b = [r["metrics"][name] for r in runs["change"][w]]
+            a, b = (
+                [r[name] if name in UNSCALED_FIELDS else r["metrics"][name] for r in runs[label][w]]
+                for label in labels
+            )
             sign = 1.0 if direction == "lower" else -1.0
             rows[name] = {
                 "change_of_median": float(np.median(b) / np.median(a) - 1.0),
