@@ -75,15 +75,6 @@ class TestThreshold:
         with pytest.raises(ValueError, match=rf"^filter {name} must .*, got {value!r}$"):
             StdHistory(**{name: value})
 
-    def test_warmup_longer_than_the_window_refused(self):
-        # Its deque would never hold warmup_min spreads, so the filter would never act.
-        with pytest.raises(ValueError, match=r"^filter warmup_min must be at most window \(10\), got 20$"):
-            StdHistory(window=10, warmup_min=20)
-        history = StdHistory(window=10, warmup_min=10)  # a warm-up of the whole window is allowed
-        for value in range(10):
-            history.push(float(value))
-        assert threshold(history) is not None
-
 
 class TestAdmit:
     def warmed_history(self):
