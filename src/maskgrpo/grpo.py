@@ -155,7 +155,6 @@ class Group:
     trajectories: list[Trajectory]
     rewards: np.ndarray
     advantages: np.ndarray
-    degenerate: bool = False
 
 
 def group_advantages(rewards) -> tuple[np.ndarray, bool]:
@@ -517,14 +516,8 @@ def train(
         if decision is filtering.Decision.EXHAUSTED:
             log.warning("iteration %d: resample budget exhausted, accepting group with std %.3g", it, std)
 
-        advantages, degenerate = group_advantages(rewards)
-        group = Group(
-            prompt=prompt,
-            trajectories=trajs,
-            rewards=rewards,
-            advantages=advantages,
-            degenerate=degenerate,
-        )
+        advantages, _ = group_advantages(rewards)
+        group = Group(prompt=prompt, trajectories=trajs, rewards=rewards, advantages=advantages)
         loss = LossPass([group], params.arch, ref_params, config)
         for _ in range(config.inner_epochs):
             try:

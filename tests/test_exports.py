@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,24 @@ def test_package_names_are_the_objects_their_modules_export():
         module = importlib.import_module(obj.__module__)
         assert name in module.__all__, f"{name} is not in {obj.__module__}.__all__"
         assert getattr(module, name) is obj, f"maskgrpo.{name} is not {obj.__module__}.{name}"
+
+
+# The names the benchmark's files bind to maskgrpo modules.
+BENCH_MODULES = {"mg": "maskgrpo", "harness": "maskgrpo.harness", "grpo": "maskgrpo.grpo"}
+BENCH_FILES = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_every_name_the_benchmark_reads_resolves(path):
+    # Tier-1 does not run the workloads, so a name that only they reach is guarded here.
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in BENCH_MODULES
+    }
+    missing = [
+        f"{alias}.{attr}"
+        for alias, attr in sorted(read)
+        if not hasattr(importlib.import_module(BENCH_MODULES[alias]), attr)
+    ]
+    assert not missing, f"bench/{path.name} reads {missing}, which maskgrpo no longer defines"

@@ -27,7 +27,8 @@ from maskgrpo import (
 from maskgrpo import filtering, grpo
 from maskgrpo.grpo import _ADAM_BLOCK, LossPass, ReductionKind, _kl_terms, active_steps
 from maskgrpo.policy import _views_of
-from maskgrpo.harness import ExperimentConfig, _fd_gradient, _grad_mismatch, _near_selection_boundary
+from maskgrpo.harness import ExperimentConfig
+from maskgrpo.oracles import _fd_gradient, _grad_mismatch, _near_selection_boundary
 from maskgrpo.transition import DegenerateOutcomeError, StepOutcome, step_logprob, step_logprob_upstream
 from maskgrpo.rewards import reward_pattern
 
