@@ -138,17 +138,16 @@ def _check_schedule_args(total_steps: int, length: int) -> None:
 def apply_step(state: CanvasState, positions, values) -> CanvasState:
     """Return the next canvas with ``positions`` unmasked to ``values``.
 
-    Every position must currently be masked; values must lie in ``[0, K)``.
-    The input state is left untouched.
+    Every position must currently be masked; values must be integers in
+    ``[0, K)``.  The input state is left untouched.
     """
-    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    positions, values = _integers(positions, "positions"), _integers(values, "values")
     if positions.shape != values.shape:
         raise ValueError("positions and values must align")
     if positions.size:
         if np.any((positions < 0) | (positions >= state.length)):
             raise ValueError("position out of range")
-        if len(np.unique(positions)) != positions.size:
+        if np.bincount(positions).max() > 1:
             raise ValueError("duplicate positions in one step")
         if not state.mask_flags[positions].all():
             raise ValueError("cannot rewrite an already unmasked position")
@@ -164,6 +163,15 @@ def apply_step(state: CanvasState, positions, values) -> CanvasState:
         num_categories=state.num_categories,
         iteration=state.iteration + 1,
     )
+
+
+def _integers(a, name: str) -> np.ndarray:
+    """``a`` flattened to int64; a non-empty ``a`` of another dtype kind is refused,
+    since converting would truncate ``0.9`` to ``0``."""
+    a = np.asarray(a).reshape(-1)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 class TaskKind(enum.Enum):

@@ -54,16 +54,14 @@ def _random_prob_rows(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
 def _model_sum(probs: transition.ProbMatrix, keys: np.ndarray) -> float:
     """Sum of the ``EXACT`` probabilities of the next states ``keys``, scored in
     one stacked ``_score`` call and added left to right in their order."""
-    count = len(keys)
+    count, k = len(keys), probs.num_categories
     sampled, chosen = transition._representatives(probs, keys)
-    tiled = [np.tile(a, (count, 1)) for a in (probs.rows, probs.log_rows)]
+    rows, log_rows = (np.repeat(a[None], count, axis=0).reshape(-1, k) for a in (probs.rows, probs.log_rows))
+    positions = np.repeat(probs.positions[None], count, axis=0).ravel()
     values = transition._score(
-        TransitionKind.EXACT, *tiled, sampled.ravel(), chosen.ravel(), np.tile(probs.positions, count), count
+        TransitionKind.EXACT, rows, log_rows, sampled.ravel(), chosen.ravel(), positions, count
     )
-    total = 0.0
-    for p in np.exp(values).tolist():
-        total += p
-    return total
+    return float(grpo._sum_in_order(np.exp(values)))
 
 
 def run_verify(trials: int, seed: int) -> Report:
@@ -173,7 +171,7 @@ def _near_selection_boundary(probs, outcome) -> bool:
 
 
 def _random_logprob_instance(rng: np.random.Generator):
-    """Generic (params, encoded canvas, outcome) away from selection boundaries."""
+    """Generic (params, forward at them, outcome) away from selection boundaries."""
     k = int(rng.integers(2, 5))
     n = int(rng.integers(2, 6))
     arch = PolicyArch(length=n, num_categories=k, hidden=6, embed=4)
@@ -186,8 +184,8 @@ def _random_logprob_instance(rng: np.random.Generator):
         if reveal:
             pos = rng.choice(n, size=reveal, replace=False)
             state = apply_step(state, pos, rng.integers(0, k, size=reveal))
-        inputs = encode_batch(arch, [state], [prompt], [0.5 + rng.random()])
-        probs = forward_encoded(params, inputs).probs(0)
+        batch = forward_encoded(params, encode_batch(arch, [state], [prompt], [0.5 + rng.random()]))
+        probs = batch.probs(0)
         sampled, confs = sample_step(probs, rng)
         m = probs.num_rows
         n_keep = int(rng.integers(1, m + 1))
@@ -201,7 +199,7 @@ def _random_logprob_instance(rng: np.random.Generator):
         below_mass = np.where(remasked_rows < confs[chosen].min(), remasked_rows, 0.0).sum(axis=1)
         if remasked_rows.size and np.any(below_mass < 1e-5):
             continue  # nearly-empty below-threshold mass
-        return params, inputs, outcome
+        return params, batch, outcome
 
 
 def run_gradcheck(trials: int, seed: int) -> Report:
@@ -220,13 +218,12 @@ def run_gradcheck(trials: int, seed: int) -> Report:
     total_terms = 0
     for kind in TransitionKind:
         for _ in range(trials):
-            params, inputs, outcome = _random_logprob_instance(rng)
-            batch = forward_encoded(params, inputs)
+            params, batch, outcome = _random_logprob_instance(rng)
             _, upstream = transition.step_logprob_upstream(kind, batch.probs(0), outcome)
             params.zero_grads()
             policy_backward(params, batch, upstream)
             analytic = params.grads.copy()
-            fd = _fd_gradient(partial(_step_logprobs, kind, inputs, outcome), params.params, LOGPROB_FD_STEP)
+            fd = _fd_gradient(partial(_step_logprobs, kind, batch.inputs, outcome), params.params, LOGPROB_FD_STEP)
             rel, diff = _grad_mismatch(analytic, fd)
             worst, worst_abs = _worst(worst, rel), _worst(worst_abs, diff)
 

@@ -140,18 +140,24 @@ class ProbMatrix:
 
     @classmethod
     def from_rows(cls, rows, positions=None) -> "ProbMatrix":
-        """Wrap explicit probability rows, checked here (exact zeros allowed)."""
+        """Wrap explicit probability rows, checked here (exact zeros allowed).
+
+        Every check is a comparison that NaN fails, so non-finite rows are refused.
+        """
         rows = np.asarray(rows, dtype=np.float64)
-        positions = np.asarray(
-            np.arange(rows.shape[0]) if positions is None else positions, dtype=np.int64
-        )
-        if rows.ndim != 2 or rows.shape[0] != positions.size:
-            raise ValueError("one probability row per masked position required")
-        if positions.ndim != 1 or (positions < 0).any() or (np.diff(positions) <= 0).any():
-            raise ValueError(f"positions {positions.tolist()} must be >= 0 and strictly increasing")
-        if np.any(rows < 0.0) or np.any(rows > 1.0 + 1e-12):
-            raise ValueError("probabilities out of [0, 1]")
-        if np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-12):
+        if positions is None:
+            if rows.ndim != 2:
+                raise ValueError("one probability row per masked position required")
+            positions = np.arange(rows.shape[0])
+        else:
+            positions = np.asarray(positions, dtype=np.int64)
+            if rows.ndim != 2 or rows.shape[0] != positions.size:
+                raise ValueError("one probability row per masked position required")
+            if positions.ndim != 1 or (positions < 0).any() or (np.diff(positions) <= 0).any():
+                raise ValueError(f"positions {positions.tolist()} must be >= 0 and strictly increasing")
+        if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=0.0) <= 1.0 + 1e-12):
+            raise ValueError("probabilities out of [0, 1] or not finite")
+        if not (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12).all():
             raise ValueError("probability rows must sum to 1")
         with np.errstate(divide="ignore"):
             log_rows = np.log(rows)
@@ -234,6 +240,22 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
     return _layers(params.params, inputs)
 
 
+def _row_extreme(a: np.ndarray, ufunc) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` for ``np.maximum`` or ``np.minimum``, bit for bit.
+
+    A reduction over a short last axis costs about 50 ns a row; one
+    elementwise call per column costs about 1 us whatever the row count.
+    Max and min are exact, so only the sign of a zero result can differ, in
+    a row holding both +0.0 and -0.0.  The callers never see it: a softmax
+    shift by either zero gives the same log-probabilities, and confidences
+    are positive.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def _layers(vec: np.ndarray, inputs: PolicyInputs) -> PolicyBatch:
     """The layers at one parameter vector ``(P,)`` or at each of a ``(C, P)`` stack.
 
@@ -248,7 +270,7 @@ def _layers(vec: np.ndarray, inputs: PolicyInputs) -> PolicyBatch:
     z = z.reshape(*vec.shape[:-1], -1, arch.num_categories).take(inputs.index, axis=-2)
     if not np.isfinite(z).all():
         raise ValueError("non-finite logits")
-    z -= z.max(axis=-1, keepdims=True)
+    z -= _row_extreme(z, np.maximum)[..., None]
     log_rows = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     rows = np.exp(np.maximum(log_rows, LOGP_CLAMP))
     return PolicyBatch(inputs, h, rows, log_rows)

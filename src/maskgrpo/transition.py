@@ -43,7 +43,7 @@ import enum
 from dataclasses import dataclass
 import numpy as np
 
-from .policy import ProbMatrix
+from .policy import ProbMatrix, _row_extreme
 
 __all__ = [
     "StepOutcome",
@@ -90,10 +90,8 @@ def cam_select(confidences, num_to_keep: int) -> np.ndarray:
     order even on degenerate (equal-confidence) inputs.
     """
     confidences = np.asarray(confidences, dtype=np.float64)
-    if num_to_keep > confidences.size:
-        raise ValueError(
-            f"cannot keep {num_to_keep} of {confidences.size} candidates"
-        )
+    if not 0 <= num_to_keep <= confidences.size:
+        raise ValueError(f"cannot keep {num_to_keep} of {confidences.size} candidates")
     order = np.argsort(-confidences, kind="stable")
     chosen = np.zeros(confidences.size, dtype=bool)
     chosen[order[:num_to_keep]] = True
@@ -161,7 +159,7 @@ def _score(
     if kind is not TransitionKind.EXACT:
         return values
     cs = cs.reshape(lead + (members, -1))
-    min_cs = np.minimum.reduce(cs, axis=-1)
+    min_cs = _row_extreme(cs, np.minimum)
     remasked = (~chosen).nonzero()[0]
     if remasked.size == 0:
         return values
@@ -242,8 +240,10 @@ def _next_state_arrays(probs: ProbMatrix, num_to_keep: int) -> tuple[np.ndarray,
     total = k**m
     if total > MAX_ENUMERATION:
         raise ValueError(f"enumeration of {k}**{m} joint samplings exceeds the guard")
-    if num_to_keep > m:
-        raise ValueError("cannot keep more positions than are masked")
+    if not 0 <= num_to_keep <= m:
+        raise ValueError(
+            f"num_to_keep={num_to_keep}: cannot keep more positions than are masked ({m}) or fewer than 0"
+        )
     places, row_idx = k ** np.arange(m - 1, -1, -1), np.arange(m)
     sums: dict[tuple[int, ...], float] = {}
     for start in range(0, total, _CHUNK):

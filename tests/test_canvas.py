@@ -102,6 +102,18 @@ class TestApplyStep:
         with pytest.raises(ValueError):
             apply_step(state, [0], [4])
 
+    @pytest.mark.parametrize(
+        "positions, values, name",
+        [([0.9], [1], "positions"), ([0], [1.7], "values"), ([0.9], [1.7], "positions"), ([True], [1], "positions")],
+    )
+    def test_non_integer_positions_or_values_fail(self, positions, values, name):
+        # Converting would truncate: [0.9], [1.7] wrote token 1 at position 0.
+        state = CanvasState.all_masked(3, 4)
+        with pytest.raises(ValueError, match=f"^{name} must be integers, got dtype"):
+            apply_step(state, positions, values)
+        nxt = apply_step(state, np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8))
+        assert nxt.tokens.tolist() == [1, 4, 4]
+
     def test_partition_preserved_and_mask_count_drops(self):
         state = CanvasState.all_masked(6, 3)
         for positions in ([0, 3], [1], [2, 4, 5]):

@@ -185,7 +185,9 @@ class TestStackedFiniteDifferences:
             monkeypatch.setattr(oracles, "_FD_BYTES", budget)
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(4):
-            params, inputs, outcome = _random_logprob_instance(rng)
+            params, batch, outcome = _random_logprob_instance(rng)
+            inputs = batch.inputs
+            assert batch.log_rows.tobytes() == forward_encoded(params, inputs).log_rows.tobytes()
 
             def value():
                 return step_logprob(kind, forward_encoded(params, inputs).probs(0), outcome)

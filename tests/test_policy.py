@@ -16,6 +16,7 @@ from maskgrpo import (
 from maskgrpo.policy import (
     CheckpointError,
     _layers,
+    _row_extreme,
     _views_of,
     encode_batch,
     forward_encoded,
@@ -201,6 +202,15 @@ class TestFromRows:
         with pytest.raises(ValueError, match="sum to 1"):
             ProbMatrix.from_rows([[0.5, 0.4]])
 
+    @pytest.mark.parametrize(
+        "rows", [[[np.nan, np.nan]], [[np.nan, 1.0]], [[0.5, 0.5], [np.nan, 0.5]], [[np.inf, 0.0]], [[-np.inf, 1.0]]]
+    )
+    @pytest.mark.parametrize("positions", [None, "given"])
+    def test_non_finite_rows_rejected(self, rows, positions):
+        positions = None if positions is None else list(range(2, 2 + len(rows)))
+        with pytest.raises(ValueError, match=r"out of \[0, 1\] or not finite"):
+            ProbMatrix.from_rows(rows, positions=positions)
+
     def test_row_position_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one probability row per masked position"):
             ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]], positions=[0])
@@ -211,6 +221,40 @@ class TestFromRows:
         # signatures all read rows in ascending canvas order.
         with pytest.raises(ValueError, match=r"positions \[.*\] must be >= 0 and strictly"):
             ProbMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]], positions=positions)
+
+
+def _extreme_cases():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for k in range(1, 10):
+        yield f"K={k}", rng.normal(size=(37, k))
+        yield f"tied K={k}", rng.integers(-2, 3, size=(37, k)).astype(np.float64)
+        yield f"negative zeros K={k}", rng.choice([-0.0, 1.0, -1.0], size=(37, k))
+        yield f"copy axis K={k}", rng.normal(size=(5, 37, k))
+    yield "(272, 21, 3)", rng.normal(size=(272, 21, 3))
+    yield "(3000, 8)", rng.normal(size=(3000, 8))
+
+
+class TestRowExtreme:
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
+    def test_equals_the_reduction_byte_for_byte(self, ufunc):
+        for label, a in _extreme_cases():
+            want = ufunc.reduce(a, axis=-1)
+            got = _row_extreme(a, ufunc)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
+    def test_mixed_signed_zeros_differ_at_most_in_the_sign(self, ufunc):
+        a = np.random.Generator(np.random.Philox(key=12)).choice([0.0, -0.0, 1.0, -1.0], size=(200, 9))
+        want, got = ufunc.reduce(a, axis=-1), _row_extreme(a, ufunc)
+        assert (got == want).all()
+        zero = a == 0.0
+        mixed = (zero & np.signbit(a)).any(axis=1) & (zero & ~np.signbit(a)).any(axis=1)
+        assert got[~mixed].tobytes() == want[~mixed].tobytes()
+
+    def test_leaves_its_input_untouched(self):
+        a = np.arange(12.0).reshape(3, 4)
+        _row_extreme(a, np.maximum)
+        assert a.tolist() == np.arange(12.0).reshape(3, 4).tolist()
 
 
 class TestBackward:

@@ -333,6 +333,20 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cannot keep more positions"):
             enumerate_next_states(ProbMatrix.from_rows(np.full((3, 2), 0.5)), 4)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda probs: cam_select(probs.rows[:, 0], -1), "^cannot keep -1 of 3 candidates$"),
+            (lambda probs: enumerate_next_states(probs, -1), "^num_to_keep=-1: "),
+            (lambda probs: transition._next_state_arrays(probs, -1), "^num_to_keep=-1: "),
+        ],
+    )
+    def test_negative_keep_count_refused(self, call, message):
+        # A [:-1] slice would keep m - 1 rows, and the enumeration would
+        # return the table for keeping m - 1.
+        with pytest.raises(ValueError, match=message):
+            call(ProbMatrix.from_rows(np.full((3, 2), 0.5)))
+
 
 class TestOracle:
     def test_fixture_outcomes(self, fixture_f):
