@@ -241,7 +241,7 @@ def forward_encoded(params: PolicyParams, inputs: PolicyInputs) -> PolicyBatch:
 
 
 def _row_extreme(a: np.ndarray, ufunc) -> np.ndarray:
-    """``ufunc.reduce(a, axis=-1)`` for ``np.maximum`` or ``np.minimum``, bit for bit.
+    """``ufunc.reduce(a, axis=-1)`` for ``np.maximum`` or ``np.minimum``, column by column.
 
     A reduction over a short last axis costs about 50 ns a row; one
     elementwise call per column costs about 1 us whatever the row count.
