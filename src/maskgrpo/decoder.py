@@ -115,7 +115,8 @@ def rollout(
         for b, rng in enumerate(rngs):
             probs = batch.probs(b)
             outcome = draw_outcome(probs, rng, n_t)
-            old_logprobs[b, t] = transition.step_logprob(kind, probs, outcome)
+            # The draw belongs to its rows, so the kernel scores it unchecked.
+            old_logprobs[b, t] = transition._score(kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen)[0]
             states[b].append(
                 apply_step(states[b][-1], outcome.chosen_positions(), outcome.chosen_values())
             )

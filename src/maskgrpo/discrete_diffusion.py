@@ -5,8 +5,8 @@ transition matrices; the absorbing variant sends mass into the mask category
 and never out, which is exactly the corruption the unmasking decoder runs in
 reverse.  This module builds the uniform and absorbing matrices, the
 closed-form and matrix-product forward marginals, the Bayes posterior of the
-previous state, and the per-step KL terms of the variational bound, summed from
-the trainer's ``grpo._kl_terms``.  A verification companion, not wired into it.
+previous state, and the per-step KL terms of the variational bound.  A
+verification companion, not wired into the trainer: it imports nothing from it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import enum
 import itertools
 
 import numpy as np
-
-from .grpo import _kl_terms
 
 __all__ = [
     "MatrixKind",
@@ -28,6 +26,11 @@ __all__ = [
     "reverse_posterior_enumerated",
     "elbo_terms",
 ]
+
+
+def _kl_terms(rows_new: np.ndarray, rows_ref: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rows_new != 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
 
 
 class MatrixKind(enum.Enum):

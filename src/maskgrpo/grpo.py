@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import filtering, transition
-from .canvas import SCHEDULES, Prompt, UnmaskSchedule
+from .canvas import SCHEDULES, Prompt, TaskKind, UnmaskSchedule
 from .decoder import Trajectory, rollout
 from .policy import (
     PolicyArch,
@@ -172,11 +172,6 @@ def group_advantages(rewards) -> tuple[np.ndarray, bool]:
     return (rewards - rewards.mean()) / std, False
 
 
-def _kl_terms(rows_new: np.ndarray, rows_ref: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rows_new != 0.0, rows_new * (np.log(rows_new) - np.log(rows_ref)), 0.0)
-
-
 def active_steps(reduction: Reduction, total_steps: int) -> np.ndarray:
     """Step indices of one trajectory that enter the surrogate objective."""
     if reduction.kind is ReductionKind.COMPUTE_SUBSET:
@@ -255,8 +250,7 @@ class LossPass:
         self.sampled_p, self.chosen_p = sampled[perm], chosen[perm]
         if ref_batch is not None:
             self.kept_p = self.chosen_p.nonzero()[0]
-            ref_p = perm[self.kept_p]
-            self.ref_rows_p, self.ref_log_rows_p = ref_batch.rows[ref_p], ref_batch.log_rows[ref_p]
+            self.ref_log_rows_p = ref_batch.log_rows[perm[self.kept_p]]
             self.kl_coef_p = np.repeat(self.norm[self.order] * config.kl_beta, kept_counts[self.order])[:, None]
 
     def evaluate(self, params: PolicyParams, compute_grad: bool = True) -> tuple[float, dict]:
@@ -291,7 +285,8 @@ class LossPass:
         kl = np.zeros((*copies, self.size))
         kl_weighted = config.kl_beta > 0.0
         if kl_weighted:
-            kl_rows = _kl_terms(rows.take(self.kept_p, axis=-2), self.ref_rows_p)
+            # One array of the kept rows' KL terms gives both the value and the gradient.
+            kl_rows = rows.take(self.kept_p, axis=-2) * (log_rows.take(self.kept_p, axis=-2) - self.ref_log_rows_p)
         row = kept_row = 0
         for (kind, m, s), members in self.shapes.items():
             block = slice(row, row + m * len(members))
@@ -301,7 +296,6 @@ class LossPass:
                 log_rows[..., block, :],
                 self.sampled_p[block],
                 self.chosen_p[block],
-                None,  # an empty EXACT support scores -inf instead of raising
                 len(members),
                 out=None if upstream is None else upstream[block],
             )
@@ -327,8 +321,7 @@ class LossPass:
             coef = np.where(unclipped <= clipped, adv * ratio, 0.0)
             upstream *= np.repeat((-norm * coef)[self.order], self.lengths)[:, None]
             if kl_weighted:
-                kept = self.kept_p
-                upstream[kept] += self.kl_coef_p * (rows[kept] * (log_rows[kept] - self.ref_log_rows_p))
+                upstream[self.kept_p] += self.kl_coef_p * kl_rows
             back = np.empty_like(batch.log_rows)
             back[perm] = upstream
             policy_backward(params, batch, back)
@@ -448,6 +441,11 @@ class TrainSetup:
         active_steps(config.reduction, self.train_schedule.total_steps)  # validate range
         if self.eval_rollouts < 0:
             raise ValueError(f"eval_rollouts must be nonnegative, got {self.eval_rollouts}")
+        prompt, arch = self.prompt, self.arch
+        if prompt.embedding.size != arch.embed:
+            raise ValueError(f"prompt embedding width {prompt.embedding.size} does not match arch.embed={arch.embed}")
+        if prompt.task_kind is TaskKind.PATTERN_MATCH and len(prompt.payload) != arch.length:
+            raise ValueError(f"prompt target length {len(prompt.payload)} does not match arch.length={arch.length}")
         # A field wider than its bits of ``_rollout_stream`` would alias another
         # (iteration, attempt, member) and replay its rollouts.
         for name, value, limit in (

@@ -389,7 +389,7 @@ def main(argv=None) -> int:
         "--kind",
         choices=_CHOICES["transition"],
         default="unmasked",
-        help="log-prob definition for the dump; the kept-only default stays defined on tied confidences",
+        help="log-prob definition recorded in the dump (default: %(default)s, kept-only)",
     )
     p_sample.add_argument("--temperature", type=float, default=1.0)
     p_sample.add_argument("-s", "--seed", type=int, default=0)

@@ -57,10 +57,7 @@ def _model_sum(probs: transition.ProbMatrix, keys: np.ndarray) -> float:
     count, k = len(keys), probs.num_categories
     sampled, chosen = transition._representatives(probs, keys)
     rows, log_rows = (np.repeat(a[None], count, axis=0).reshape(-1, k) for a in (probs.rows, probs.log_rows))
-    positions = np.repeat(probs.positions[None], count, axis=0).ravel()
-    values = transition._score(
-        TransitionKind.EXACT, rows, log_rows, sampled.ravel(), chosen.ravel(), positions, count
-    )
+    values = transition._score(TransitionKind.EXACT, rows, log_rows, sampled.ravel(), chosen.ravel(), count)
     return float(grpo._sum_in_order(np.exp(values)))
 
 
@@ -155,9 +152,7 @@ def _step_logprobs(kind: TransitionKind, inputs, outcome: StepOutcome, stack: np
     """``step_logprob`` of one step at each parameter vector of a ``(C, P)`` stack:
     one forward and one scorer call over the copy axis."""
     batch = _layers(stack, inputs)
-    return transition._score(
-        kind, batch.rows, batch.log_rows, outcome.sampled, outcome.chosen, outcome.positions
-    )[:, 0]
+    return transition._score(kind, batch.rows, batch.log_rows, outcome.sampled, outcome.chosen)[:, 0]
 
 
 def _near_selection_boundary(probs, outcome) -> bool:

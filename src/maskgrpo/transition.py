@@ -7,10 +7,14 @@ remasks the rest; the lowest-index tie-break makes the selection a
 deterministic function of the confidences.
 
 Given the prediction rows for the masked positions and one step's outcome,
-one function, ``_score``, gives the log-probability of the move to the next
+one kernel, ``_score``, gives the log-probability of the move to the next
 canvas under all three definitions.  One call scores a stack of steps of one
 shape (the loss pass's terms that share a shape) at one parameter vector or
-at each copy of a stacked forward, all copies sharing the outcomes:
+at each copy of a stacked forward, all copies sharing the outcomes.  The
+kernel trusts its arrays and scores a step of probability zero ``-inf``;
+``step_logprob_upstream`` (and ``step_logprob``, its value) is the checked
+edge, which refuses an outcome that does not belong to its rows and a step
+of probability zero:
 
 * ``AR_STYLE``     - product of confidences over every masked position, the
   naive reading that treats each parallel sample as if it were committed.
@@ -107,11 +111,12 @@ class TransitionKind(enum.Enum):
 class DegenerateOutcomeError(ValueError):
     """A factor of the transition probability is exactly zero.
 
-    Raised when a confidence is 0, which only hand-built rows reach, or when
-    a remasked position has no token mass in its ``EXACT`` support, which a
+    Raised by ``step_logprob_upstream`` (so by ``step_logprob``) when a
+    scored confidence is 0, which only hand-built rows reach, or when a
+    remasked position has no token mass in its ``EXACT`` support, which a
     step re-scored at parameters other than those that sampled it reaches
-    too.  The public scorers raise it; the loss pass scores such a step as
-    impossible.
+    too.  The kernel ``_score`` scores such a step ``-inf``, which the loss
+    pass keeps as an impossible term.
     """
 
 
@@ -122,22 +127,21 @@ def _check_consistent(positions, num_categories, outcome_positions, sampled) -> 
         raise ValueError("sampled token out of range")
 
 
-def _score(
-    kind: TransitionKind, rows, log_rows, sampled, chosen, positions, members: int = 1, out=None
-) -> np.ndarray:
+def _score(kind: TransitionKind, rows, log_rows, sampled, chosen, members: int = 1, out=None) -> np.ndarray:
     """Log-probabilities of ``members`` steps of one shape, scored at once.
 
     The steps are stacked as in a :class:`~maskgrpo.policy.PolicyBatch`: each
     member owns ``M`` consecutive rows of ``rows``/``log_rows`` (``(..., B*M,
     K)``, any leading axes being parameter copies) and of the outcomes
-    ``sampled``, ``chosen`` and ``positions`` (``(B*M,)``, shared by the
-    copies); each member keeps as many rows as the others.  Returns ``(...,
-    B)``.  With ``out`` (zeros shaped like copy-free ``rows``), also writes
-    each step's upstream there: a one-hot at every scored row's sample (all
-    rows for ``AR_STYLE``, the kept ones otherwise) and, for ``EXACT``, each
-    remasked row's probabilities on its support over the support's mass.  The
-    outcomes are trusted to belong to the rows.  With ``positions=None``, an
-    empty ``EXACT`` support scores ``-inf`` (zero upstream) instead of raising.
+    ``sampled`` and ``chosen`` (``(B*M,)``, shared by the copies); each member
+    keeps as many rows as the others.  Returns ``(..., B)``.  With ``out``
+    (zeros shaped like copy-free ``rows``), also writes each step's upstream
+    there: a one-hot at every scored row's sample (all rows for ``AR_STYLE``,
+    the kept ones otherwise) and, for ``EXACT``, each remasked row's
+    probabilities on its support over the support's mass.  The outcomes are
+    trusted to belong to the rows.  A step of probability zero (a scored
+    confidence of 0, or an ``EXACT`` support without mass, whose upstream row
+    stays zero) scores ``-inf``.
     """
     lead, k = rows.shape[:-2], rows.shape[-1]
     if kind is TransitionKind.AR_STYLE:
@@ -150,15 +154,14 @@ def _score(
     else:
         raise ValueError(f"kind must be a TransitionKind, got {kind!r}")
     flat = scored * k + tokens
-    cs = rows.reshape(lead + (-1,)).take(flat, axis=-1)
-    if not cs.all():
-        raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
+    cs = rows.reshape(lead + (-1,)).take(flat, axis=-1).reshape(lead + (members, -1))
     values = log_rows.reshape(lead + (-1,)).take(flat, axis=-1).reshape(lead + (members, -1)).sum(axis=-1)
+    if not cs.all():
+        values[(cs == 0.0).any(axis=-1)] = -np.inf
     if out is not None:
         out.put(flat, 1.0)
     if kind is not TransitionKind.EXACT:
         return values
-    cs = cs.reshape(lead + (members, -1))
     min_cs = _row_extreme(cs, np.minimum)
     remasked = (~chosen).nonzero()[0]
     if remasked.size == 0:
@@ -177,13 +180,6 @@ def _score(
     mass = support.sum(axis=-1)
     if not mass.all():
         empty = mass <= 0.0
-        if positions is not None:
-            b = np.unravel_index(empty.any(axis=-1).argmax(), values.shape)
-            bad = positions[remasked.reshape(members, -1)[b[-1]][empty[b]]]
-            raise DegenerateOutcomeError(
-                f"remasked positions {bad.tolist()} have no token mass "
-                f"that ranks below the selection threshold {min_cs[b]!r}"
-            )
         values[empty.any(axis=-1)] = -np.inf
         mass = np.where(empty, 1.0, mass)
     values += np.log(mass).sum(axis=-1)
@@ -194,13 +190,10 @@ def _score(
 
 def step_logprob(kind: TransitionKind, probs: ProbMatrix, outcome: StepOutcome) -> float:
     """Log-probability of one step's move to the next canvas under ``kind``."""
-    _check_consistent(probs.positions, probs.num_categories, outcome.positions, outcome.sampled)
-    return _score(kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions).item()
+    return step_logprob_upstream(kind, probs, outcome)[0]
 
 
-def step_logprob_upstream(
-    kind: TransitionKind, probs: ProbMatrix, outcome
-) -> tuple[float, np.ndarray]:
+def step_logprob_upstream(kind: TransitionKind, probs: ProbMatrix, outcome: StepOutcome) -> tuple[float, np.ndarray]:
     """Step log-prob plus its gradient expressed on the log-probability rows.
 
     The returned matrix ``u`` satisfies: d(logprob)/d(logit row i) equals the
@@ -208,13 +201,21 @@ def step_logprob_upstream(
     at the sampled token; for remasked positions under ``EXACT`` it is the
     row's probability mass restricted to its support, renormalised by that
     support's total mass (sets held locally constant, see module docstring).
+    The outcome is checked against ``probs``, and a step of probability zero
+    is refused with :class:`DegenerateOutcomeError`.
     """
     _check_consistent(probs.positions, probs.num_categories, outcome.positions, outcome.sampled)
     upstream = np.zeros(probs.rows.shape)
-    value = _score(
-        kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, probs.positions, out=upstream
-    )
-    return value.item(), upstream
+    value = _score(kind, probs.rows, probs.log_rows, outcome.sampled, outcome.chosen, out=upstream).item()
+    if value == -np.inf:
+        confs = probs.rows[np.arange(probs.num_rows), outcome.sampled]
+        if not confs[outcome.chosen | (kind is TransitionKind.AR_STYLE)].all():
+            raise DegenerateOutcomeError("confidence of a scored token is exactly zero")
+        raise DegenerateOutcomeError(
+            f"remasked positions {probs.positions[~upstream.any(axis=1)].tolist()} have no token mass "
+            f"that ranks below the selection threshold {confs[outcome.chosen].min()!r}"
+        )
+    return value, upstream
 
 
 # Samplings per block of the enumeration: it bounds the block's arrays (about

@@ -19,7 +19,8 @@ from maskgrpo import (
     schedule_uniform,
 )
 from maskgrpo.decoder import draw_outcome, dump_trajectory, rng_for_stream
-from maskgrpo.transition import _next_state_arrays
+from maskgrpo.policy import encode_batch, forward_encoded
+from maskgrpo.transition import _next_state_arrays, step_logprob
 
 
 class TestSampleStep:
@@ -169,6 +170,19 @@ class TestRollout:
             np.testing.assert_allclose(traj.old_logprobs, alone.old_logprobs, rtol=0, atol=1e-12)
             finals.add(traj.final_state.tokens.tobytes())
         assert len(finals) > 1
+
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_recorded_logprobs_equal_the_checked_scorer_bit_for_bit(self, kind):
+        # The decoder scores its own draws with the unchecked kernel.
+        params, prompt = tiny_policy(n=8, k=4, seed=3, zero=False)
+        sched = schedule_cosine(4, 8)
+        group = rollout(params, prompt, sched, kind, temperature=0.8, seed=[21, 22, 23])
+        for t in range(sched.total_steps):
+            canvases = [traj.states[t] for traj in group]
+            batch = forward_encoded(params, encode_batch(params.arch, canvases, [prompt] * 3, [0.8] * 3))
+            for b, traj in enumerate(group):
+                want = step_logprob(kind, batch.probs(b), traj.outcomes[t])
+                assert traj.old_logprobs[t].tobytes() == np.float64(want).tobytes()
 
     def test_one_seed_in_a_sequence_gives_a_list(self):
         params, prompt = tiny_policy(n=4, k=3, zero=False)

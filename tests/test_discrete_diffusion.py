@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgrpo import (
     MatrixKind,
@@ -9,7 +11,7 @@ from maskgrpo import (
     forward_marginal,
     reverse_posterior,
 )
-from maskgrpo.discrete_diffusion import cumulative_q, reverse_posterior_enumerated
+from maskgrpo.discrete_diffusion import _kl_terms, cumulative_q, reverse_posterior_enumerated
 
 
 class TestBuilders:
@@ -174,3 +176,27 @@ class TestElbo:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             elbo_terms(0, 3, [0.5], MatrixKind.UNIFORM, np.zeros((2, 3, 3)))
+
+
+class TestKlTerms:
+    def test_identical_rows_zero(self):
+        rows = np.array([[0.2, 0.8], [0.6, 0.4]])
+        assert _kl_terms(rows, rows).sum() == 0.0
+
+    def test_closed_form_value(self):
+        value = _kl_terms(np.array([[0.5, 0.5]]), np.array([[0.25, 0.75]])).sum()
+        want = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
+        assert value == pytest.approx(want, abs=1e-12)
+        assert value == pytest.approx(0.1438, abs=1e-4)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_nonnegative(self, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(4), size=3)
+        q = rng.dirichlet(np.ones(4), size=3)
+        assert _kl_terms(p, q).sum() >= 0.0
+
+    def test_zero_entry_scores_zero_and_nan_entry_reaches_the_sum(self):
+        assert _kl_terms(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])).sum() == np.log(2.0)
+        assert np.isnan(_kl_terms(np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])).sum())

@@ -25,7 +25,7 @@ from maskgrpo import (
     train,
 )
 from maskgrpo import filtering, grpo
-from maskgrpo.grpo import _ADAM_BLOCK, LossPass, ReductionKind, _kl_terms, active_steps
+from maskgrpo.grpo import _ADAM_BLOCK, LossPass, ReductionKind, active_steps
 from maskgrpo.policy import _views_of
 from maskgrpo.harness import ExperimentConfig
 from maskgrpo.oracles import _fd_gradient, _grad_mismatch, _near_selection_boundary
@@ -75,30 +75,6 @@ class TestGroupAdvantages:
     def test_needs_two_rewards(self):
         with pytest.raises(ValueError):
             group_advantages([1.0])
-
-
-class TestKlStep:
-    def test_identical_rows_zero(self):
-        rows = np.array([[0.2, 0.8], [0.6, 0.4]])
-        assert _kl_terms(rows, rows).sum() == 0.0
-
-    def test_closed_form_value(self):
-        value = _kl_terms(np.array([[0.5, 0.5]]), np.array([[0.25, 0.75]])).sum()
-        want = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-        assert value == pytest.approx(want, abs=1e-12)
-        assert value == pytest.approx(0.1438, abs=1e-4)
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(4), size=3)
-        q = rng.dirichlet(np.ones(4), size=3)
-        assert _kl_terms(p, q).sum() >= 0.0
-
-    def test_zero_entry_scores_zero_and_nan_entry_reaches_the_sum(self):
-        assert _kl_terms(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])).sum() == np.log(2.0)
-        assert np.isnan(_kl_terms(np.array([[np.nan, 1.0]]), np.array([[0.5, 0.5]])).sum())
 
 
 class TestAdam:
@@ -572,6 +548,19 @@ def pattern_setup(**overrides):
         total_steps=4,
         eval_rollouts=0,
     )
+
+
+class TestTrainSetup:
+    # Each prompt was accepted, and ``train`` failed at iteration 0.
+    def test_pattern_prompt_of_another_length_is_refused(self):
+        prompt = Prompt.pattern_match((0, 1, 2, 0), 3, 8)
+        with pytest.raises(ValueError, match=r"^prompt target length 4 does not match arch.length=8$"):
+            dataclasses.replace(pattern_setup(), prompt=prompt)
+
+    def test_prompt_of_another_embedding_width_is_refused(self):
+        prompt = Prompt.pattern_match(tuple(i % 3 for i in range(8)), 3, 6)
+        with pytest.raises(ValueError, match=r"^prompt embedding width 6 does not match arch.embed=8$"):
+            dataclasses.replace(pattern_setup(), prompt=prompt)
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestLogprobValues:
             with pytest.raises(ValueError, match=message):
                 score(kind.value, fixture_f, outcome)
         with pytest.raises(ValueError, match=message):
-            transition._score(kind.value, fixture_f.rows, fixture_f.log_rows, outcome.sampled, outcome.chosen, None)
+            transition._score(kind.value, fixture_f.rows, fixture_f.log_rows, outcome.sampled, outcome.chosen)
 
     def test_exact_zero_mass_below_threshold_guard(self):
         # The remasked row concentrates all mass on one token above the
@@ -540,7 +541,6 @@ def _score_stack(kind, members, out=None):
         np.concatenate([p.log_rows for p in probs]),
         np.concatenate([o.sampled for o in outcomes]),
         np.concatenate([o.chosen for o in outcomes]),
-        np.concatenate([p.positions for p in probs]),
         len(members),
         out=out,
     )
@@ -564,7 +564,7 @@ class TestStackedScorer:
                 assert step_logprob(kind, probs, outcome) == value
                 assert upstream[b * m : (b + 1) * m].tobytes() == want.tobytes()
 
-    def test_a_degenerate_member_raises_as_it_does_alone(self):
+    def test_an_impossible_member_scores_minus_inf_where_the_edge_refuses_it(self):
         rng = rng_for_stream(32)
         healthy = [_member(rng, 3, 3, 1, "random") for _ in range(2)]
         # A kept row whose sampled token has probability zero.
@@ -572,21 +572,39 @@ class TestStackedScorer:
         zero_kept = StepOutcome(
             np.array([2, 0, 0]), np.array([0.0, 0.2, 0.4]), np.array([True, False, False]), probs.positions
         )
-        # A remasked row with all its mass above the kept confidence.
+        # A remasked row (position 1) with all its mass above the kept confidence.
         probs_mass = ProbMatrix.from_rows([[0.4, 0.6, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         no_mass = StepOutcome(
             np.array([1, 0, 2]), np.array([0.6, 1.0, 0.5]), np.array([True, False, False]), probs_mass.positions
         )
-        cases = [
-            (kind, (probs, zero_kept), DegenerateOutcomeError) for kind in TransitionKind
-        ] + [(TransitionKind.EXACT, (probs_mass, no_mass), DegenerateOutcomeError)]
-        for kind, bad, error in cases:
-            with pytest.raises(error):
+        cases = [(kind, (probs, zero_kept), "^confidence of a scored token is exactly zero$") for kind in TransitionKind]
+        cases.append(
+            (
+                TransitionKind.EXACT,
+                (probs_mass, no_mass),
+                r"^remasked positions \[1\] have no token mass that ranks below the selection threshold np.float64\(0.6\)$",
+            )
+        )
+        for kind, bad, message in cases:
+            with pytest.raises(DegenerateOutcomeError, match=message) as edge:
                 step_logprob_upstream(kind, *bad)
-            with pytest.raises(error):
-                _score_stack(kind, [healthy[0], bad, healthy[1]], out=np.zeros((9, 3)))
-            with pytest.raises(error):
-                _score_stack(kind, [healthy[0], bad, healthy[1]])
+            with pytest.raises(DegenerateOutcomeError) as value_only:
+                step_logprob(kind, *bad)
+            assert str(value_only.value) == str(edge.value)
+            # The kernel trusts the step: -inf there, the healthy members as alone.
+            members = [healthy[0], bad, healthy[1]]
+            upstream = np.zeros((9, 3))
+            values = _score_stack(kind, members, out=upstream)
+            assert values[1] == -np.inf
+            assert _score_stack(kind, members).tobytes() == values.tobytes()
+            for b in (0, 2):
+                value, want = step_logprob_upstream(kind, *members[b])
+                assert values[b].tobytes() == np.float64(value).tobytes()
+                assert upstream[3 * b : 3 * b + 3].tobytes() == want.tobytes()
+            if bad[1] is no_mass:
+                # The row without support mass keeps a zero upstream row; the
+                # other rows hold their one-hot and their support.
+                assert upstream[3:6].tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.2, 0.3, 0.5]]
         # No member keeps a row: EXACT has no threshold, alone or stacked.
         empty = [_member(rng, 2, 2, 0, "random") for _ in range(3)]
         with pytest.raises(ValueError, match="keep at least one position"):
@@ -615,7 +633,7 @@ class TestStackedScorer:
             stack.append(rows)
         rows = np.stack(stack)
         with np.errstate(divide="ignore"):
-            return rows, np.log(rows), sampled, chosen, np.concatenate([p.positions for p in probs])
+            return rows, np.log(rows), sampled, chosen
 
     @pytest.mark.parametrize("rows_kind", ["random", "tie", "saturated"])
     @pytest.mark.parametrize("kind", list(TransitionKind))
@@ -625,15 +643,15 @@ class TestStackedScorer:
             m, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
             keep = int(rng.integers(1, m))
             members = [_member(rng, m, k, keep, rows_kind) for _ in range(int(rng.integers(1, 5)))]
-            rows, log_rows, sampled, chosen, _ = self._copies(rng, kind, members, 6, rows_kind)
-            # positions=None: an empty EXACT support scores -inf in both.
-            values = transition._score(kind, rows, log_rows, sampled, chosen, None, len(members))
+            rows, log_rows, sampled, chosen = self._copies(rng, kind, members, 6, rows_kind)
+            # An empty EXACT support scores -inf in both.
+            values = transition._score(kind, rows, log_rows, sampled, chosen, len(members))
             assert values.shape == (6, len(members))
             for c in range(6):
-                alone = transition._score(kind, rows[c], log_rows[c], sampled, chosen, None, len(members))
+                alone = transition._score(kind, rows[c], log_rows[c], sampled, chosen, len(members))
                 assert values[c].tobytes() == alone.tobytes()
             grid = (rows.reshape(2, 3, *rows.shape[1:]), log_rows.reshape(2, 3, *rows.shape[1:]))
-            in_grid = transition._score(kind, *grid, sampled, chosen, None, len(members))
+            in_grid = transition._score(kind, *grid, sampled, chosen, len(members))
             assert in_grid.shape == (2, 3, len(members)) and in_grid.tobytes() == values.tobytes()
 
     def _with_empty_supports(self, bad):
@@ -649,7 +667,7 @@ class TestStackedScorer:
             rows = np.stack([(1.0 - w) * base + w / 3 for w in (0.0, 0.1, 0.2)])
             sampled = np.concatenate([o.sampled for o in outcomes])
             chosen = np.concatenate([o.chosen for o in outcomes])
-            values = transition._score(TransitionKind.EXACT, rows, np.log(rows), sampled, chosen, None, 3)
+            values = transition._score(TransitionKind.EXACT, rows, np.log(rows), sampled, chosen, 3)
             if np.isfinite(values).all():
                 break
         for c, b in bad:
@@ -659,21 +677,31 @@ class TestStackedScorer:
             return rows, np.log(rows), sampled, chosen, np.concatenate([p.positions for p in probs])
 
     @pytest.mark.parametrize("bad", [[(1, 1)], [(1, 2), (2, 0)], [(0, 2), (2, 1)]])
-    def test_a_degenerate_copy_raises_as_it_does_alone(self, bad):
+    def test_a_degenerate_copy_scores_minus_inf_there_only(self, bad):
         rows, log_rows, sampled, chosen, positions = self._with_empty_supports(bad)
-        first = min(bad)[0]
-        with pytest.raises(DegenerateOutcomeError) as alone:
-            transition._score(TransitionKind.EXACT, rows[first], log_rows[first], sampled, chosen, positions, 3)
-        with pytest.raises(DegenerateOutcomeError) as stacked:
-            transition._score(TransitionKind.EXACT, rows, log_rows, sampled, chosen, positions, 3)
-        assert "no token mass" in str(alone.value)
-        assert str(stacked.value) == str(alone.value)
-
-    @pytest.mark.parametrize("bad", [[(1, 1)], [(1, 2), (2, 0)], [(0, 2), (2, 1)]])
-    def test_without_positions_a_degenerate_copy_scores_minus_inf_there_only(self, bad):
-        rows, log_rows, sampled, chosen, _ = self._with_empty_supports(bad)
-        values = transition._score(TransitionKind.EXACT, rows, log_rows, sampled, chosen, None, 3)
+        values = transition._score(TransitionKind.EXACT, rows, log_rows, sampled, chosen, 3)
         want = np.zeros((3, 3), dtype=bool)
         want[tuple(zip(*bad))] = True
         assert np.array_equal(values == -np.inf, want)
         assert np.isfinite(values[~want]).all()
+        for c in range(3):
+            upstream = np.zeros(rows.shape[1:])
+            alone = transition._score(TransitionKind.EXACT, rows[c], log_rows[c], sampled, chosen, 3, out=upstream)
+            assert alone.tobytes() == values[c].tobytes()
+            for b in range(3):
+                block = slice(3 * b, 3 * b + 3)
+                probs = ProbMatrix(rows[c, block], log_rows[c, block], positions[block])
+                confs = probs.rows[np.arange(3), sampled[block]]
+                outcome = StepOutcome(sampled[block], confs, chosen[block], positions[block])
+                if not want[c, b]:
+                    value, own = step_logprob_upstream(TransitionKind.EXACT, probs, outcome)
+                    assert np.float64(value).tobytes() == alone[b].tobytes()
+                    assert own.tobytes() == upstream[block].tobytes()
+                    continue
+                # The edge names the remasked row whose upstream row the kernel left zero.
+                empty = ~upstream[block].any(axis=1)
+                assert empty.sum() == 1 and not chosen[block][empty].any()
+                named = f"remasked positions {positions[block][empty].tolist()} have no token mass"
+                for score in (step_logprob, step_logprob_upstream):
+                    with pytest.raises(DegenerateOutcomeError, match=re.escape(named)):
+                        score(TransitionKind.EXACT, probs, outcome)

@@ -25,11 +25,14 @@ and the comparison holds both beside the scaled metrics.  A change that
 moves the kernel's scale factor moves every scaled time with it; these
 fields show whether an op got slower or the factor rose.
 
-After the timed runs, every workload runs once more per checkout on the
-first seed as ``bench/run.py --trace 1``.  Its per-layer table is recorded
-with the labels the tracer reported as absent (its ``trace: absent`` line):
-a layer that reads 0 because the program no longer has a function of that
-name is then told apart from one that was never called.
+After the timed runs, every workload runs again per checkout on the first
+three seeds as ``bench/run.py --trace 1``, alternating which checkout goes
+first as the timed runs do.  Every traced run is kept with the labels the
+tracer reported as absent (its ``trace: absent`` line): a layer that reads 0
+because the program no longer has a function of that name is then told apart
+from one that was never called.  Per side and workload the record holds the
+median of each per-layer metric over the traced runs, so one run on a busy
+host does not set the table.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ UNSCALED = re.compile(r"^wall time, unscaled: op_ms_p50=(\S+) .* median scale fa
 # Per-run fields read from that line.  Each gets a comparison row in which lower
 # reads better: a lower scale factor is the one that lowers the scaled times.
 UNSCALED_FIELDS = ("unscaled_op_ms_p50", "median_scale_factor")
+# Seeds, from the first, that also get a ``--trace 1`` run per checkout.
+TRACED_SEEDS = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -89,6 +94,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return run
 
 
+def interleaved(sides: dict, workloads: list[str], seeds: list[int], seconds: float, trace: int = 0) -> dict:
+    """Runs per side and workload: per seed, every workload on both checkouts,
+    the checkout that goes first alternating from seed to seed."""
+    labels, kind = list(sides), "traced" if trace else "seed"
+    runs = {label: {w: [] for w in workloads} for label in labels}
+    for i, seed in enumerate(seeds):
+        for workload in workloads:
+            order = labels if i % 2 == 0 else labels[::-1]
+            for position, label in enumerate(order):
+                run = {"seed": seed, "order": position, **run_once(sides[label], workload, seed, seconds, trace)}
+                runs[label][workload].append(run)
+                print(f"{workload} {kind} {seed} {label}: {json.dumps(run)}", file=sys.stderr, flush=True)
+                if not run["correct"]:
+                    warning = f"warning: {workload} seed {seed} {label} reads correct: false"
+                    print(warning, file=sys.stderr, flush=True)
+    return runs
+
+
 def summarise(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
@@ -112,26 +135,15 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     labels = list(sides)
-    runs = {label: {w: [] for w in workloads} for label in labels}
-    for i, seed in enumerate(args.seeds):
-        for workload in workloads:
-            order = labels if i % 2 == 0 else labels[::-1]
-            for position, label in enumerate(order):
-                run = {"seed": seed, "order": position, **run_once(sides[label], workload, seed, seconds)}
-                runs[label][workload].append(run)
-                print(f"{workload} seed {seed} {label}: {json.dumps(run)}", file=sys.stderr, flush=True)
-                if not run["correct"]:
-                    warning = f"warning: {workload} seed {seed} {label} reads correct: false"
-                    print(warning, file=sys.stderr, flush=True)
-    traced = {label: {} for label in labels}
-    for workload in workloads:
-        for label in labels:
-            run = {"seed": args.seeds[0], **run_once(sides[label], workload, args.seeds[0], seconds, trace=1)}
-            traced[label][workload] = run
-            print(f"{workload} traced {label}: {json.dumps(run)}", file=sys.stderr, flush=True)
+    runs = interleaved(sides, workloads, args.seeds, seconds)
+    traced_seeds = args.seeds[:TRACED_SEEDS]
+    traced = interleaved(sides, workloads, traced_seeds, seconds, trace=1)
     record = {
         "command": f"bench/run.py --trace 0 --seconds {seconds:g}",
-        "per_layer_command": f"bench/run.py --trace 1 --seconds {seconds:g}, first seed",
+        "per_layer_command": (
+            f"bench/run.py --trace 1 --seconds {seconds:g}, seeds {traced_seeds} interleaved as the timed runs, "
+            "median per metric"
+        ),
         "repeats": len(args.seeds),
         "seeds": args.seeds,
         "numpy": np.__version__,
@@ -146,7 +158,13 @@ def main(argv=None) -> int:
                         "summary": summarise(rs),
                         "ops_per_run": [r["attempted"] for r in rs],
                         "runs": rs,
-                        "per_layer": traced[label][w],
+                        "per_layer": {
+                            "median": {
+                                name: float(np.median([r["metrics"][name] for r in traced[label][w]]))
+                                for name in traced[label][w][0]["metrics"]
+                            },
+                            "runs": traced[label][w],
+                        },
                     }
                     for w, rs in runs[label].items()
                 },
